@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import docio
+from .dataio import NormalizationParams
 from .errors import (
     ArchiveFormatError,
     DegenerateBuildError,
@@ -474,7 +475,8 @@ def save_archive(archive: SignatureArchive, path) -> None:
 
 
 def load_archive(path) -> SignatureArchive:
-    """Read an archive document, verifying its schema version and structure."""
+    """Read an archive document, verifying its schema version, structure and
+    normalization parameters."""
     doc = docio.read_document(path)
     if not isinstance(doc, dict):
         raise ArchiveFormatError("archive document must be a mapping")
@@ -509,4 +511,8 @@ def load_archive(path) -> SignatureArchive:
         if isinstance(exc, ArchiveFormatError):
             raise
         raise ArchiveFormatError(f"malformed archive document: {exc}") from exc
+    if not isinstance(archive.build_config, dict):
+        raise ArchiveFormatError("archive build_config must be a mapping")
+    if archive.build_config.get("normalization") is not None:
+        NormalizationParams.from_snapshot(archive.build_config["normalization"])
     return archive

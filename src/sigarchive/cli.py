@@ -9,8 +9,6 @@ parallelism and never changes any output byte.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import math
 import sys
@@ -60,12 +58,6 @@ def _unit_fraction(text: str) -> float:
 def _sibling_path(path, suffix: str) -> Path:
     p = Path(path)
     return p.with_name(p.stem + suffix)
-
-
-def _write_csv(path, rows) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -156,7 +148,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for p in predictions:
         rows.append([p.sample_id, p.decision, label_by_path[p.attribution],
                      docio.format_float(p.score), p.attribution])
-    _write_csv(args.output, rows)
+    dataio.write_rows(args.output, rows)
 
     for f in failures:
         print(f"error: sample {f.sample_id!r}: {f.message}", file=sys.stderr)
@@ -166,39 +158,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _read_table(path, expected_header: tuple[str, ...]) -> list[list[str]]:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"file not found: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = tuple(rows[0])
-    if header != expected_header:
-        missing = [c for c in expected_header if c not in header]
-        if missing:
-            raise ValidationError(
-                f"{path}: missing required column(s): {', '.join(missing)}")
-        raise ValidationError(
-            f"{path}: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(header)!r}")
-    width = len(expected_header)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {width}")
-    return rows[1:]
-
-
 _NOVEL_VALUES = {"0": False, "false": False, "1": True, "true": True}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pred_rows = _read_table(args.predictions, _PREDICTION_HEADER)
+    pred_rows = dataio.read_table(args.predictions, _PREDICTION_HEADER)
     if not pred_rows:
         raise ValidationError(f"{args.predictions}: no prediction rows")
-    truth_rows = _read_table(args.truth, _TRUTH_HEADER)
+    truth_rows = dataio.read_table(args.truth, _TRUTH_HEADER)
 
     truth: dict[str, tuple[str, bool]] = {}
     for lineno, (sid, label, novel_text) in enumerate(truth_rows, start=2):
@@ -252,7 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_predictions(decisions, predicted, scores, truth_labels, novel_flags)
     docio.write_document(report.to_document(), args.report)
     curve_path = args.curve if args.curve else _sibling_path(args.report, ".curve.csv")
-    _write_csv(curve_path, [list(_CURVE_HEADER)] + [
+    dataio.write_rows(curve_path, [list(_CURVE_HEADER)] + [
         [docio.format_float(p.threshold), docio.format_float(p.coverage),
          docio.format_float(p.risk)]
         for p in report.rc_curve

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .docio import format_float
-from .errors import DegenerateInputError, ValidationError
+from .errors import ArchiveFormatError, DegenerateInputError, ValidationError
 from .linalg import FeatureMatrix
 from .seeding import STREAM_SPLIT, STREAM_SYNTH, generator
 
@@ -73,6 +73,23 @@ def _read_rows(path) -> list[list[str]]:
         return [row for row in csv.reader(fh)]
 
 
+def read_table(path, header: tuple[str, ...]) -> list[list[str]]:
+    """Body rows of a CSV file whose first row must equal ``header``.
+
+    Every body row must have exactly one cell per header column.
+    """
+    rows = _read_rows(path)
+    if not rows or tuple(rows[0]) != header:
+        got = ",".join(rows[0]) if rows else ""
+        raise ValidationError(
+            f"{path}: expected header {','.join(header)!r}, got {got!r}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
+    return rows[1:]
+
+
 def load_features_csv(path) -> FeatureMatrix:
     """Read a feature table: header row of sample ids, feature rows below."""
     rows = _read_rows(path)
@@ -108,15 +125,8 @@ def load_features_csv(path) -> FeatureMatrix:
 
 def load_labels_csv(path) -> dict[str, str]:
     """Read a ``sample_id,label`` table into an ordered mapping."""
-    rows = _read_rows(path)
-    if not rows or tuple(rows[0]) != _LABEL_HEADER:
-        raise ValidationError(
-            f"{path}: expected header {','.join(_LABEL_HEADER)!r}")
     mapping: dict[str, str] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValidationError(f"{path}: row {lineno} must have exactly 2 cells")
-        sid, label = row
+    for lineno, (sid, label) in enumerate(read_table(path, _LABEL_HEADER), start=2):
         if sid in mapping:
             raise ValidationError(f"{path}: duplicate sample id {sid!r} at row {lineno}")
         mapping[sid] = label
@@ -128,7 +138,8 @@ def load_csv(features_path, labels_path) -> LabeledDataset:
     features = load_features_csv(features_path)
     labels = load_labels_csv(labels_path)
     missing = [s for s in features.sample_ids if s not in labels]
-    extra = [s for s in labels if s not in set(features.sample_ids)]
+    known = set(features.sample_ids)
+    extra = [s for s in labels if s not in known]
     if missing or extra:
         raise ValidationError(
             f"sample ids disagree between {features_path} and {labels_path}: "
@@ -137,10 +148,10 @@ def load_csv(features_path, labels_path) -> LabeledDataset:
     return LabeledDataset(features, tuple(labels[s] for s in features.sample_ids))
 
 
-def _write_rows(path, rows) -> None:
+def write_rows(path, rows) -> None:
+    """Write ``rows`` as CSV with newline-terminated lines."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -149,14 +160,14 @@ def save_features_csv(features: FeatureMatrix, path) -> None:
     rows = [[_FEATURE_CORNER, *features.sample_ids]]
     for i, name in enumerate(names):
         rows.append([name, *(format_float(v) for v in features.values[i])])
-    _write_rows(path, rows)
+    write_rows(path, rows)
 
 
 def save_csv(dataset: LabeledDataset, features_path, labels_path) -> None:
     save_features_csv(dataset.features, features_path)
     rows = [list(_LABEL_HEADER)]
     rows += [[sid, lbl] for sid, lbl in zip(dataset.features.sample_ids, dataset.labels)]
-    _write_rows(labels_path, rows)
+    write_rows(labels_path, rows)
 
 
 @dataclass(frozen=True)
@@ -178,13 +189,36 @@ class NormalizationParams:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "NormalizationParams":
-        maxima = snapshot["maxima"]
-        return cls(
-            mode=str(snapshot["mode"]),
-            feature_names=tuple(str(f) for f in snapshot["feature_names"]),
-            maxima=None if maxima is None else tuple(float(v) for v in maxima),
-            dropped_features=tuple(str(f) for f in snapshot["dropped_features"]),
-        )
+        """Parse and check a :meth:`to_snapshot` document.
+
+        Raises ``ArchiveFormatError`` unless the mode is known, ``maxima``
+        is null exactly for mode ``none`` and otherwise holds one positive
+        finite divisor per kept feature, and every dropped feature is named.
+        """
+        try:
+            maxima = snapshot["maxima"]
+            params = cls(
+                mode=str(snapshot["mode"]),
+                feature_names=tuple(str(f) for f in snapshot["feature_names"]),
+                maxima=None if maxima is None else tuple(float(v) for v in maxima),
+                dropped_features=tuple(str(f) for f in snapshot["dropped_features"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveFormatError(f"malformed normalization parameters: {exc}") from exc
+        dropped = set(params.dropped_features)
+        n_kept = sum(1 for n in params.feature_names if n not in dropped)
+        if params.mode == MODE_NONE:
+            valid = params.maxima is None
+        else:
+            valid = (params.mode == MODE_PER_FEATURE_MAX and params.maxima is not None
+                     and len(params.maxima) == n_kept
+                     and all(v > 0 and math.isfinite(v) for v in params.maxima))
+        if not (valid and dropped <= set(params.feature_names)):
+            raise ArchiveFormatError(
+                f"malformed normalization parameters: mode {params.mode!r}, "
+                f"{len(params.feature_names)} features, {len(dropped)} dropped, "
+                f"{'no' if params.maxima is None else len(params.maxima)} maxima")
+        return params
 
 
 def normalize(dataset: LabeledDataset, mode: str = MODE_PER_FEATURE_MAX,

@@ -123,7 +123,10 @@ class FactorPair:
 
     ``objective_trace[0]`` is the Frobenius residual of the initial random
     factors; every later entry is the residual after one full update sweep.
-    The trace never increases by more than ``TRACE_TOLERANCE``.
+    The trace never increases by more than ``TRACE_TOLERANCE``.  Its last
+    entry is the residual ``||x - w @ h||`` of the returned ``w`` and ``h``,
+    also when the uphill guard stops the run: the rejected sweep is neither
+    kept nor recorded.  Rank selection reads member errors from it.
     """
 
     w: np.ndarray

@@ -12,13 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, SigArchiveError, ValidationError
-from .linalg import FactorPair, FeatureMatrix, SolverOptions, nmf_factorize, relative_error
+from .linalg import FactorPair, FeatureMatrix, SolverOptions, nmf_factorize
 from .seeding import STREAM_PERTURB, generator
 
 logger = logging.getLogger(__name__)
@@ -105,27 +105,16 @@ def _unit_columns(w: np.ndarray) -> np.ndarray:
     return w / safe
 
 
-@dataclass(frozen=True, eq=False)
-class SignatureClusters:
-    """Matched ensemble signatures: one cluster per column of the reference member.
-
-    ``clusters[c]`` holds one unit vector per ensemble member (rows), and
-    ``medoids[:, c]`` is the member of cluster ``c`` minimizing the summed
-    cosine distance to the rest.
-    """
-
-    clusters: tuple[np.ndarray, ...]
-    medoids: np.ndarray
-
-
-def cluster_ensemble_signatures(signature_sets: Sequence[np.ndarray]) -> SignatureClusters:
+def cluster_ensemble_signatures(signature_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Group ensemble signature columns into k clusters by greedy matching.
 
     The first member's columns anchor the clusters.  Each later member's
     columns are matched to anchors one pair at a time, taking the highest
     cosine similarity among the still-unmatched pairs (ties resolved by the
     lowest column index, then the lowest anchor index), so every member
-    contributes exactly one column to every cluster.
+    contributes exactly one column to every cluster.  Cluster ``c`` is an
+    ``(members, n)`` array holding one unit vector per member, in member
+    order.
     """
     members = [np.asarray(s, dtype=np.float64) for s in signature_sets]
     if not members:
@@ -134,37 +123,18 @@ def cluster_ensemble_signatures(signature_sets: Sequence[np.ndarray]) -> Signatu
     for s in members:
         if s.shape != (n, k):
             raise ValidationError("signature sets must share one shape")
-    units = [_unit_columns(s) for s in members]
+    units = np.stack([_unit_columns(s) for s in members])
 
-    anchors = units[0]
-    assigned = [np.empty((len(members), n)) for _ in range(k)]
-    for c in range(k):
-        assigned[c][0] = anchors[:, c]
-    for i, cols in enumerate(units[1:], start=1):
-        sim = anchors.T @ cols  # sim[c, j]: anchor c vs member column j
-        open_anchor = np.ones(k, dtype=bool)
-        open_col = np.ones(k, dtype=bool)
+    picks = np.tile(np.arange(k), (len(units), 1))  # picks[i, c]: member i's column in cluster c
+    for i in range(1, len(units)):
+        free = (units[0].T @ units[i]).T.copy()  # free[j, c]: member column j vs anchor c
         for _ in range(k):
-            best = -np.inf
-            best_pair = None
-            for j in range(k):
-                if not open_col[j]:
-                    continue
-                for c in range(k):
-                    if open_anchor[c] and sim[c, j] > best:
-                        best = sim[c, j]
-                        best_pair = (c, j)
-            c, j = best_pair
-            assigned[c][i] = cols[:, j]
-            open_anchor[c] = False
-            open_col[j] = False
-
-    medoids = np.empty((n, k))
-    for c in range(k):
-        pts = assigned[c]
-        dist = 1.0 - pts @ pts.T
-        medoids[:, c] = pts[int(np.argmin(dist.sum(axis=1)))]
-    return SignatureClusters(tuple(a.copy() for a in assigned), medoids)
+            # The first maximum in row-major order has the lowest column, then anchor.
+            j, c = divmod(int(np.argmax(free)), k)
+            picks[i, c] = j
+            free[j, :] = free[:, c] = -np.inf
+    rows = np.arange(len(units))
+    return tuple(units[rows, :, picks[:, c]] for c in range(k))
 
 
 def silhouette_scores(clusters: Sequence[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -211,11 +181,11 @@ def silhouette_scores(clusters: Sequence[np.ndarray]) -> tuple[tuple[np.ndarray,
     return per_cluster, np.array([c.min() for c in per_cluster])
 
 
-def ensemble_stability(clusters: SignatureClusters) -> tuple[float, float]:
+def ensemble_stability(clusters: Sequence[np.ndarray]) -> tuple[float, float]:
     """(min, mean) silhouette of a matched ensemble; a single cluster scores 1."""
-    if len(clusters.clusters) == 1:
+    if len(clusters) == 1:
         return 1.0, 1.0
-    per_cluster, cluster_min = silhouette_scores(clusters.clusters)
+    per_cluster, cluster_min = silhouette_scores(clusters)
     pooled = np.concatenate(per_cluster)
     return float(cluster_min.min()), float(pooled.mean())
 
@@ -243,6 +213,7 @@ def select_rank(
 
     perturbed = [perturb(x, cfg.noise_epsilon, cfg.base_seed + i)
                  for i in range(cfg.n_perturbations)]
+    norms = [float(np.linalg.norm(p.values)) for p in perturbed]
 
     def run_member(args: tuple[int, int]) -> tuple[int, FactorPair | None]:
         k, i = args
@@ -269,7 +240,8 @@ def select_rank(
                            k, len(jobs) - len(pairs))
         clusters = cluster_ensemble_signatures([fp.w for _, fp in pairs])
         min_sil, mean_sil = ensemble_stability(clusters)
-        mean_err = float(np.mean([relative_error(perturbed[i], fp) for i, fp in pairs]))
+        # The trace ends at the residual of the returned factors (see FactorPair).
+        mean_err = float(np.mean([fp.objective_trace[-1] / norms[i] for i, fp in pairs]))
         stats.append(RankStats(k, min_sil, mean_sil, mean_err))
 
     for prev, cur in zip(stats, stats[1:]):

@@ -142,6 +142,24 @@ class TestClassify:
                      tmp_path)
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("breakage", ["empty-normalization", "list-config",
+                                          "one-maximum"])
+    def test_malformed_build_config_exits_2(self, workspace, tmp_path, breakage):
+        archive = json.loads((workspace / "arc.json").read_text())
+        if breakage == "empty-normalization":
+            archive["build_config"]["normalization"] = {}
+        elif breakage == "list-config":
+            archive["build_config"] = list(archive["build_config"])
+        else:
+            archive["build_config"]["normalization"]["maxima"] = [1.0]
+        (tmp_path / "arc.json").write_text(json.dumps(archive))
+        result = run(("classify", "--archive", tmp_path / "arc.json",
+                      "--features", workspace / "features.csv",
+                      "--output", tmp_path / "p.csv"), tmp_path)
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_feature_layout_mismatch_exits_1(self, workspace, tmp_path):
         (tmp_path / "small.csv").write_text("feature,a\nf0,1\nf1,2\nf2,1\n")
         result = run(("classify", "--archive", workspace / "arc.json",

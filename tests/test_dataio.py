@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sigarchive import (
+    ArchiveFormatError,
     DegenerateInputError,
     FeatureMatrix,
     ValidationError,
@@ -153,6 +154,21 @@ class TestNormalize:
     def test_snapshot_round_trip(self):
         _, params = normalize(small_dataset())
         assert NormalizationParams.from_snapshot(params.to_snapshot()) == params
+
+    @pytest.mark.parametrize("change", [
+        {"mode": "log"},
+        {"mode": MODE_NONE},                      # maxima left in place
+        {"maxima": None},
+        {"maxima": [1.0]},
+        {"maxima": [2.0, 0.0]},
+        {"maxima": [2.0, float("inf")]},
+        {"dropped_features": ["nope"]},
+        {"feature_names": 3},
+    ])
+    def test_snapshot_checks_reject_malformed(self, change):
+        _, params = normalize(small_dataset())
+        with pytest.raises(ArchiveFormatError, match="normalization"):
+            NormalizationParams.from_snapshot({**params.to_snapshot(), **change})
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ from sigarchive import (
     EnsembleConfig,
     FeatureMatrix,
     ValidationError,
+    nmf_factorize,
+    relative_error,
     select_rank,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic
@@ -23,6 +25,32 @@ from sigarchive.rank import (
 )
 
 FAST = dict(n_perturbations=8, base_seed=0)
+
+
+def greedy_match_reference(members):
+    """Clusters by the pairwise greedy rule, scanned one pair at a time.
+
+    Among the unmatched (anchor, column) pairs the first strictly highest
+    cosine wins, scanning columns in the outer loop and anchors in the inner.
+    """
+    units = [m / np.where(np.linalg.norm(m, axis=0) > 0,
+                          np.linalg.norm(m, axis=0), 1.0) for m in members]
+    k = units[0].shape[1]
+    clusters = [[units[0][:, c]] for c in range(k)]
+    for cols in units[1:]:
+        sim = units[0].T @ cols
+        open_anchor, open_col = set(range(k)), set(range(k))
+        for _ in range(k):
+            best, pair = -np.inf, None
+            for j in sorted(open_col):
+                for c in sorted(open_anchor):
+                    if sim[c, j] > best:
+                        best, pair = sim[c, j], (c, j)
+            c, j = pair
+            clusters[c].append(cols[:, j])
+            open_anchor.discard(c)
+            open_col.discard(j)
+    return [np.array(c) for c in clusters]
 
 
 class TestEnsembleConfig:
@@ -80,7 +108,7 @@ class TestClusterEnsembleSignatures:
         member = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         got = cluster_ensemble_signatures([member] * 4)
         for c in range(2):
-            pts = got.clusters[c]
+            pts = got[c]
             assert pts.shape == (4, 3)
             gram = pts @ pts.T
             assert np.allclose(gram, 1.0, atol=1e-12)  # zero cosine distance
@@ -92,29 +120,46 @@ class TestClusterEnsembleSignatures:
         b = a[:, ::-1]
         got = cluster_ensemble_signatures([a, b])
         # cluster c must hold both copies of anchor column c
-        assert np.array_equal(got.clusters[0], np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert np.array_equal(got.clusters[1], np.array([[0.0, 1.0], [0.0, 1.0]]))
+        assert np.array_equal(got[0], np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(got[1], np.array([[0.0, 1.0], [0.0, 1.0]]))
 
     def test_one_column_per_member_per_cluster(self):
         rng = np.random.default_rng(2)
         members = [rng.random((5, 3)) + 0.01 for _ in range(6)]
         got = cluster_ensemble_signatures(members)
-        assert len(got.clusters) == 3
-        assert all(c.shape == (6, 5) for c in got.clusters)
+        assert len(got) == 3
+        assert all(c.shape == (6, 5) for c in got)
         # across clusters, member i's rows are exactly its own unit columns
         for i, member in enumerate(members):
             units = member / np.linalg.norm(member, axis=0)
-            rows = sorted(tuple(got.clusters[c][i]) for c in range(3))
+            rows = sorted(tuple(got[c][i]) for c in range(3))
             cols = sorted(tuple(units[:, j]) for j in range(3))
             assert np.allclose(rows, cols, atol=1e-12)
 
-    def test_medoid_minimizes_summed_distance(self):
-        # three members; the middle vector is closest to both others
-        m0 = np.array([[1.0], [0.0]])
-        m1 = np.array([[0.8], [0.6]])
-        m2 = np.array([[0.6], [0.8]])
-        got = cluster_ensemble_signatures([m0, m1, m2])
-        assert np.allclose(got.medoids[:, 0], [0.8, 0.6], atol=1e-12)
+    def test_ties_go_to_lowest_column_then_lowest_anchor(self):
+        # every entry is exact in binary: the cosines of b0 and b1 to anchor
+        # e0, and of b0 to anchor e1, tie at exactly 0.5; b1 vs e1 is 0
+        e0, e1 = np.eye(5)[:, :2].T
+        b0 = np.array([0.5, 0.5, 0.5, 0.5, 0.0])
+        b1 = np.array([0.5, 0.0, 0.5, 0.5, 0.5])
+        got = cluster_ensemble_signatures([np.column_stack([e0, e1]),
+                                           np.column_stack([b0, b1])])
+        # (anchor 0, column 0) wins the three-way tie; anchor 1 takes column 1
+        assert np.array_equal(got[0], np.stack([e0, b0]))
+        assert np.array_equal(got[1], np.stack([e1, b1]))
+
+    def test_matches_pairwise_greedy_reference(self):
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(k, 7))
+            # even trials use small integers, which give many exact cosine ties
+            members = [rng.integers(0, 3, size=(n, k)).astype(float) + (trial % 2)
+                       * rng.random((n, k)) for _ in range(int(rng.integers(1, 5)))]
+            got = cluster_ensemble_signatures(members)
+            want = greedy_match_reference(members)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -216,6 +261,18 @@ class TestSelectRank:
         x = fm(np.ones((2, 3)))
         with pytest.raises(ValidationError):
             select_rank(x, EnsembleConfig(k_min=1, k_max=5, **FAST))
+
+    def test_member_errors_match_recomputed_relative_errors(self):
+        x = fm(np.random.default_rng(6).random((6, 20)) + 0.05)
+        cfg = EnsembleConfig(k_min=1, k_max=3, **FAST)
+        report = select_rank(x, cfg)
+        for stats in report.per_k:
+            errors = []
+            for i in range(cfg.n_perturbations):
+                member = perturb(x, cfg.noise_epsilon, cfg.base_seed + i)
+                pair = nmf_factorize(member, stats.k, cfg.base_seed + i)
+                errors.append(relative_error(member, pair))
+            assert stats.mean_relative_error == float(np.mean(errors))
 
     def test_zero_matrix_degenerate(self):
         x = FeatureMatrix(np.zeros((3, 4)), tuple(f"s{i}" for i in range(4)))
