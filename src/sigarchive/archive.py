@@ -161,6 +161,7 @@ class SignatureArchive:
     feature_names: tuple[str, ...]
     build_config: dict
     unresolved: tuple[UnresolvedGroup, ...] = ()
+    _basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -178,6 +179,10 @@ class SignatureArchive:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "unresolved", tuple(self.unresolved))
+        basis = (np.column_stack([e.signature for e in entries]) if entries
+                 else np.empty((n, 0)))
+        basis.setflags(write=False)
+        object.__setattr__(self, "_basis", basis)
 
     def __eq__(self, other):
         if not isinstance(other, SignatureArchive):
@@ -192,8 +197,8 @@ class SignatureArchive:
         return len(self.feature_names)
 
     def signature_matrix(self) -> np.ndarray:
-        """Signatures stacked as columns, in archive order."""
-        return np.column_stack([e.signature for e in self.entries])
+        """Signatures stacked as columns, in archive order (read-only)."""
+        return self._basis
 
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.entries)
@@ -507,7 +512,7 @@ def load_archive(path) -> SignatureArchive:
             build_config=doc["build_config"],
             unresolved=unresolved,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ArchiveFormatError):
             raise
         raise ArchiveFormatError(f"malformed archive document: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Four subcommands wire the pipeline end to end.  Exit codes are stable:
 0 success, 1 runtime or numeric failure, 2 usage or validation failure.
-All randomness flows from ``--seed``; ``--workers`` bounds internal
+All randomness flows from ``--seed``; ``build --workers`` bounds internal
 parallelism and never changes any output byte.
 """
 
@@ -141,7 +141,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise SigArchiveError(str(exc)) from exc
 
     cfg = InferenceConfig(t=args.threshold, score_tolerance=args.score_tolerance)
-    predictions, failures = classify_batch(features, archive, cfg, workers=args.workers)
+    predictions, failures = classify_batch(features, archive, cfg)
 
     label_by_path = {e.path: e.label for e in archive.entries}
     rows = [list(_PREDICTION_HEADER)]
@@ -286,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1.0,
                    help="minimum reconstruction score to classify")
     p.add_argument("--score-tolerance", type=_nonneg_float, default=1e-9)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallelism bound; outputs are identical for any value")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

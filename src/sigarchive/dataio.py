@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .docio import format_float
+from .docio import format_float, write_atomic
 from .errors import ArchiveFormatError, DegenerateInputError, ValidationError
 from .linalg import FeatureMatrix
 from .seeding import STREAM_SPLIT, STREAM_SYNTH, generator
@@ -69,8 +69,20 @@ def _read_rows(path) -> list[list[str]]:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"file not found: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh)]
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{p}: not a readable UTF-8 CSV file: {exc}") from exc
+
+
+def _body(path, rows: list[list[str]], width: int) -> list[list[str]]:
+    """Rows after the header, each required to have ``width`` cells."""
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValidationError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {width}")
+    return rows[1:]
 
 
 def read_table(path, header: tuple[str, ...]) -> list[list[str]]:
@@ -83,11 +95,7 @@ def read_table(path, header: tuple[str, ...]) -> list[list[str]]:
         got = ",".join(rows[0]) if rows else ""
         raise ValidationError(
             f"{path}: expected header {','.join(header)!r}, got {got!r}")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
-    return rows[1:]
+    return _body(path, rows, len(header))
 
 
 def load_features_csv(path) -> FeatureMatrix:
@@ -95,32 +103,29 @@ def load_features_csv(path) -> FeatureMatrix:
     rows = _read_rows(path)
     if not rows or len(rows[0]) < 2:
         raise ValidationError(f"{path}: expected a header row with at least one sample id")
-    sample_ids = tuple(rows[0][1:])
-    width = len(rows[0])
     if len(rows) < 2:
         raise ValidationError(f"{path}: no feature rows found")
-    feature_names = []
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {width}")
-        feature_names.append(row[0])
-        parsed = []
-        for sid, cell in zip(sample_ids, row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: cell (feature {row[0]!r}, sample {sid!r}) "
-                    f"is not a number: {cell!r}") from None
-            if not math.isfinite(value) or value < 0:
-                raise ValidationError(
-                    f"{path}: cell (feature {row[0]!r}, sample {sid!r}) "
-                    f"must be finite and >= 0, got {cell!r}")
-            parsed.append(value)
-        data.append(parsed)
-    return FeatureMatrix(np.array(data), sample_ids, tuple(feature_names))
+    body = _body(path, rows, len(rows[0]))
+    sample_ids = tuple(rows[0][1:])
+    try:
+        return FeatureMatrix(np.array([row[1:] for row in body], dtype=np.float64),
+                             sample_ids, tuple(row[0] for row in body))
+    except ValueError:
+        # name the first bad cell in file order; if none is bad, the error
+        # is about something else (e.g. duplicate sample ids) and stands
+        for row in body:
+            for sid, cell in zip(sample_ids, row[1:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: cell (feature {row[0]!r}, sample {sid!r}) "
+                        f"is not a number: {cell!r}") from None
+                if not math.isfinite(value) or value < 0:
+                    raise ValidationError(
+                        f"{path}: cell (feature {row[0]!r}, sample {sid!r}) "
+                        f"must be finite and >= 0, got {cell!r}") from None
+        raise
 
 
 def load_labels_csv(path) -> dict[str, str]:
@@ -152,7 +157,7 @@ def write_rows(path, rows) -> None:
     """Write ``rows`` as CSV with newline-terminated lines."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    write_atomic(path, buf.getvalue())
 
 
 def save_features_csv(features: FeatureMatrix, path) -> None:
@@ -203,7 +208,7 @@ class NormalizationParams:
                 maxima=None if maxima is None else tuple(float(v) for v in maxima),
                 dropped_features=tuple(str(f) for f in snapshot["dropped_features"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ArchiveFormatError(f"malformed normalization parameters: {exc}") from exc
         dropped = set(params.dropped_features)
         n_kept = sum(1 for n in params.feature_names if n not in dropped)

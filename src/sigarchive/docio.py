@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 from .errors import ArchiveFormatError
@@ -78,16 +79,33 @@ def dumps_document(value) -> str:
 def loads_document(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ArchiveFormatError(f"document is not valid JSON: {exc}") from exc
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then move
+    it into place, so a killed run never leaves a truncated file at ``path``."""
+    p = Path(path)
+    tmp = p.parent / f".{p.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_document(value, path) -> None:
-    Path(path).write_text(dumps_document(value), encoding="utf-8")
+    write_atomic(path, dumps_document(value))
 
 
 def read_document(path):
     p = Path(path)
     if not p.is_file():
         raise ArchiveFormatError(f"document not found: {p}")
-    return loads_document(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(f"{p}: document is not UTF-8 text: {exc}") from exc
+    return loads_document(text)

@@ -9,7 +9,6 @@ threshold are rejected as unrecognized rather than forced into a class.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,34 +165,21 @@ def classify_batch(
     samples: FeatureMatrix,
     archive: SignatureArchive,
     cfg: InferenceConfig = InferenceConfig(),
-    *,
-    workers: int | None = None,
 ) -> tuple[list[Prediction], list[BatchFailure]]:
     """Classify every column of ``samples`` in order.
 
     Per-sample errors (e.g. all-zero vectors) are collected as
-    :class:`BatchFailure` records instead of aborting the batch.  Results
-    are identical for any ``workers`` value.
+    :class:`BatchFailure` records instead of aborting the batch.
     """
     if samples.n_features != archive.n_features:
         raise ValidationError(
             f"samples have {samples.n_features} features, archive expects "
             f"{archive.n_features}")
-
-    def run(j: int):
+    predictions, failures = [], []
+    for j, sample_id in enumerate(samples.sample_ids):
         try:
-            return classify(samples.values[:, j], archive, cfg,
-                            sample_id=samples.sample_ids[j])
+            predictions.append(classify(samples.values[:, j], archive, cfg,
+                                        sample_id=sample_id))
         except SigArchiveError as exc:
-            return BatchFailure(j, samples.sample_ids[j], str(exc))
-
-    indices = range(samples.n_samples)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, indices))
-    else:
-        outcomes = [run(j) for j in indices]
-
-    predictions = [o for o in outcomes if isinstance(o, Prediction)]
-    failures = [o for o in outcomes if isinstance(o, BatchFailure)]
+            failures.append(BatchFailure(j, sample_id, str(exc)))
     return predictions, failures

@@ -206,7 +206,7 @@ def run_pipeline(root, extra=()):
             (root / "truth.csv").write_text(
                 "sample_id,label,novel\n"
                 + "".join(f"{line},0\n" for line in lines))
-        if args[0] in ("build", "classify"):
+        if args[0] == "build":
             args = args + tuple(extra)
         proc = subprocess.run([*CLI, *args], capture_output=True, text=True,
                               cwd=root, env=cli_env())

@@ -237,6 +237,17 @@ class TestArchiveTypes:
         with pytest.raises(ValidationError):
             SignatureArchive((entry, entry), ("f0", "f1"), {})
 
+    def test_signature_matrix_is_one_read_only_stack(self):
+        entries = (ArchiveEntry(np.array([0.6, 0.8, 0.0]), "A", 1.0, 1, "a", 0),
+                   ArchiveEntry(np.array([0.0, 0.0, 1.0]), "B", 1.0, 1, "b", 0))
+        archive = SignatureArchive(entries, ("f0", "f1", "f2"), {})
+        basis = archive.signature_matrix()
+        assert archive.signature_matrix() is basis
+        assert not basis.flags.writeable and basis.flags.c_contiguous
+        assert np.array_equal(basis, np.column_stack([e.signature for e in entries]))
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
     def test_build_config_snapshot_round_trip(self):
         cfg = BuildConfig(
             ensemble=EnsembleConfig(k_min=2, k_max=7, n_perturbations=12,

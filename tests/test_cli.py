@@ -160,12 +160,58 @@ class TestClassify:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_workers_flag_is_a_usage_error(self, workspace, tmp_path):
+        result = run(("classify", "--archive", workspace / "arc.json",
+                      "--features", workspace / "features.csv",
+                      "--output", tmp_path / "p.csv", "--workers", "2"), tmp_path)
+        assert result.returncode == 2
+        assert not (tmp_path / "p.csv").exists()
+
     def test_feature_layout_mismatch_exits_1(self, workspace, tmp_path):
         (tmp_path / "small.csv").write_text("feature,a\nf0,1\nf1,2\nf2,1\n")
         result = run(("classify", "--archive", workspace / "arc.json",
                       "--features", tmp_path / "small.csv",
                       "--output", tmp_path / "p.csv"), tmp_path)
         assert result.returncode == 1
+
+
+@pytest.mark.parametrize("case", [
+    "features-utf8", "predictions-utf8", "archive-utf8", "long-csv-field",
+    "support-infinity", "purity-401-digits", "maxima-401-digits", "deep-json"])
+def test_malformed_bytes_exit_2(workspace, tmp_path, case):
+    broken = tmp_path / "broken"
+    archive, features = workspace / "arc.json", workspace / "features.csv"
+    doc = json.loads(archive.read_text())
+    if case in ("features-utf8", "predictions-utf8", "archive-utf8"):
+        source = {"features-utf8": features, "archive-utf8": archive,
+                  "predictions-utf8": workspace / "predictions.csv"}[case]
+        data = source.read_bytes()
+        broken.write_bytes(data[:12] + b"\xff" + data[12:])
+    elif case == "long-csv-field":
+        broken.write_bytes(features.read_bytes() + b'"' + b"9" * 200_000 + b'"\n')
+    elif case == "deep-json":
+        broken.write_text("[" * 100_000)
+    else:
+        if case == "support-infinity":
+            doc["entries"][0]["support"] = float("inf")
+        elif case == "purity-401-digits":
+            doc["entries"][0]["purity"] = 10 ** 400
+        else:
+            doc["build_config"]["normalization"]["maxima"][0] = 10 ** 400
+        broken.write_text(json.dumps(doc))
+    if case == "predictions-utf8":
+        args = ("evaluate", "--predictions", broken, "--truth", broken,
+                "--report", tmp_path / "r.json")
+    elif case in ("features-utf8", "long-csv-field"):
+        args = ("classify", "--archive", archive, "--features", broken,
+                "--output", tmp_path / "p.csv")
+    else:
+        args = ("classify", "--archive", broken, "--features", features,
+                "--output", tmp_path / "p.csv")
+    result = run(args, tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 class TestEvaluate:
@@ -278,7 +324,7 @@ class TestDeterminism:
                 == (workspace / "arc.json").read_bytes())
         result = run(("classify", "--archive", "arc.json", "--features",
                       "features.csv", "--output", "predictions.csv",
-                      "--threshold", "0.95", "--workers", "4"), tmp_path)
+                      "--threshold", "0.95"), tmp_path)
         assert result.returncode == 0
         assert ((tmp_path / "predictions.csv").read_bytes()
                 == (workspace / "predictions.csv").read_bytes())

@@ -163,11 +163,6 @@ class TestClassifyBatch:
         perm, _ = classify_batch(shuffled, axis_archive, InferenceConfig(t=0.5))
         assert perm == [base[i] for i in order]
 
-    def test_worker_count_does_not_change_results(self, axis_archive, mixtures):
-        serial, f1 = classify_batch(mixtures, axis_archive, workers=1)
-        threaded, f2 = classify_batch(mixtures, axis_archive, workers=4)
-        assert serial == threaded and f1 == f2
-
     def test_zero_sample_becomes_failure_record(self, axis_archive):
         values = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         preds, failures = classify_batch(fm(values), axis_archive)
