@@ -79,27 +79,6 @@ class BuildConfig:
             },
         }
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "BuildConfig":
-        try:
-            ens = snapshot["ensemble"]
-            return cls(
-                ensemble=EnsembleConfig(
-                    k_min=int(ens["k_min"]),
-                    k_max=int(ens["k_max"]),
-                    n_perturbations=int(ens["n_perturbations"]),
-                    noise_epsilon=float(ens["noise_epsilon"]),
-                    silhouette_threshold=float(ens["silhouette_threshold"]),
-                    base_seed=int(ens["base_seed"]),
-                ),
-                purity_threshold=float(snapshot["purity_threshold"]),
-                min_cluster_size=int(snapshot["min_cluster_size"]),
-                max_depth=int(snapshot["max_depth"]),
-                seed=int(snapshot["seed"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ArchiveFormatError(f"malformed build configuration: {exc}") from exc
-
 
 @dataclass(frozen=True, eq=False)
 class ArchiveEntry:
@@ -252,6 +231,12 @@ class BuildReport:
                             "min_silhouette": float(s.min_silhouette),
                             "mean_silhouette": float(s.mean_silhouette),
                             "mean_relative_error": float(s.mean_relative_error),
+                            "members": {
+                                "converged": s.members_converged,
+                                "capped": s.members_capped,
+                                "uphill": s.members_uphill,
+                                "failed": s.members_failed,
+                            },
                         }
                         for s in nd.per_k
                     ],
@@ -297,8 +282,7 @@ def normalize_factor_pair(pair: FactorPair) -> FactorPair:
     """
     norms = np.linalg.norm(pair.w, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
-    return FactorPair(pair.w / safe, pair.h * safe[:, None],
-                      pair.objective_trace, pair.seed)
+    return replace(pair, w=pair.w / safe, h=pair.h * safe[:, None])
 
 
 def assign_clusters(pair: FactorPair) -> np.ndarray:

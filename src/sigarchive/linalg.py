@@ -19,6 +19,11 @@ from .seeding import STREAM_NMF_INIT, generator
 TRACE_TOLERANCE = 1e-12  # absolute slack for float round-off in objective traces
 _UPDATE_EPS = 1e-12      # denominator guard in multiplicative updates
 
+STOP_CONVERGED = "converged"
+STOP_CAPPED = "capped"
+STOP_UPHILL = "uphill"
+STOP_REASONS = (STOP_CONVERGED, STOP_CAPPED, STOP_UPHILL)
+
 
 def _readonly_array(values, *, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
@@ -100,8 +105,10 @@ class FeatureMatrix:
 class SolverOptions:
     """Knobs for :func:`nmf_factorize`.
 
-    ``tol`` is the relative objective change below which iteration stops;
-    it is evaluated every ``check_every`` iterations.
+    ``tol`` is the relative objective change below which iteration stops.
+    It is tested at every ``check_every``-th sweep, between the residuals of
+    that sweep and the one before; those two sweeps and sweep ``max_iter``
+    are the only ones whose residual is evaluated.
     """
 
     tol: float = 1e-6
@@ -122,17 +129,27 @@ class FactorPair:
     """Result of one NMF run: nonnegative factors plus the objective trace.
 
     ``objective_trace[0]`` is the Frobenius residual of the initial random
-    factors; every later entry is the residual after one full update sweep.
-    The trace never increases by more than ``TRACE_TOLERANCE``.  Its last
-    entry is the residual ``||x - w @ h||`` of the returned ``w`` and ``h``,
-    also when the uphill guard stops the run: the rejected sweep is neither
-    kept nor recorded.  Rank selection reads member errors from it.
+    factors; every later entry is the residual after one evaluated sweep,
+    that is a sweep ``s`` with ``s % check_every`` equal to 0 or
+    ``check_every - 1``, or ``s == max_iter`` (see :class:`SolverOptions`).
+    The trace never increases by more than ``TRACE_TOLERANCE`` from one
+    entry to the next.  Its last entry is the residual ``||x - w @ h||`` of
+    the returned ``w`` and ``h``, also when the uphill guard stops the run:
+    the factors of the last evaluated sweep are returned, and the rejected
+    sweep is not recorded.  Rank selection reads member errors from it.
+
+    ``sweeps`` counts the update sweeps run, rejected ones included, and
+    ``stop`` says why the run ended: ``"converged"`` (the stop test
+    passed), ``"capped"`` (``max_iter`` sweeps ran) or ``"uphill"`` (the
+    guard fired).
     """
 
     w: np.ndarray
     h: np.ndarray
     objective_trace: tuple[float, ...]
     seed: int
+    sweeps: int = 0
+    stop: str = STOP_CONVERGED
 
     def __post_init__(self):
         w = _readonly_array(self.w)
@@ -161,15 +178,30 @@ class FactorPair:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "objective_trace", trace)
+        if self.stop not in STOP_REASONS:
+            raise ValidationError(f"unknown stop reason {self.stop!r}")
+        if self.sweeps < 0:
+            raise ValidationError("sweeps must be >= 0")
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "sweeps", int(self.sweeps))
 
     @property
     def rank(self) -> int:
         return self.w.shape[1]
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """``||a||_F``, summed in one fixed order whatever the BLAS thread count.
+
+    ``np.linalg.norm`` of a 2-d array is a BLAS dot product, which OpenBLAS
+    splits across its threads; numpy's own pairwise sum over the C-order
+    entries is the same with any number of threads.
+    """
+    return math.sqrt(np.add.reduce(np.square(a).ravel()))
+
+
 def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
-    return float(np.linalg.norm(x - w @ h))
+    return frobenius_norm(x - w @ h)
 
 
 def nmf_factorize(
@@ -207,22 +239,32 @@ def nmf_factorize(
     h = (1.0 - rng.random((k, m))) * scale
 
     trace = [_frobenius(values, w, h)]
-    for iteration in range(1, opts.max_iter + 1):
-        h_new = h * ((w.T @ values) / ((w.T @ w) @ h + _UPDATE_EPS))
-        np.maximum(h_new, 0.0, out=h_new)
-        w_new = w * ((values @ h_new.T) / (w @ (h_new @ h_new.T) + _UPDATE_EPS))
-        np.maximum(w_new, 0.0, out=w_new)
-        objective = _frobenius(values, w_new, h_new)
+    kept = w, h  # factors of the last evaluated sweep; each sweep allocates anew
+    stop = STOP_CAPPED
+    for sweep in range(1, opts.max_iter + 1):
+        h = h * ((w.T @ values) / ((w.T @ w) @ h + _UPDATE_EPS))
+        np.maximum(h, 0.0, out=h)
+        w = w * ((values @ h.T) / (w @ (h @ h.T) + _UPDATE_EPS))
+        np.maximum(w, 0.0, out=w)
+        # Only the sweeps just before and at a checkpoint, and the last one,
+        # are read by a decision, so only they pay for a residual.
+        phase = sweep % opts.check_every
+        if phase not in (0, opts.check_every - 1) and sweep != opts.max_iter:
+            continue
+        objective = _frobenius(values, w, h)
         if objective > trace[-1] + TRACE_TOLERANCE:
-            # Round-off pushed the objective uphill; keep the previous factors.
+            # Round-off pushed the objective uphill; keep the last evaluated factors.
+            w, h = kept
+            stop = STOP_UPHILL
             break
-        w, h = w_new, h_new
+        kept = w, h
         trace.append(objective)
-        if iteration % opts.check_every == 0:
+        if phase == 0:
             prev, cur = trace[-2], trace[-1]
             if prev == 0.0 or (prev - cur) / prev < opts.tol:
+                stop = STOP_CONVERGED
                 break
-    return FactorPair(w, h, tuple(trace), seed)
+    return FactorPair(w, h, tuple(trace), seed, sweep, stop)
 
 
 def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = 1e-8) -> np.ndarray:
@@ -305,7 +347,7 @@ def relative_error(x: FeatureMatrix, pair: FactorPair) -> float:
         raise ValidationError(
             f"factor shapes {pair.w.shape} x {pair.h.shape} do not match "
             f"matrix shape {x.values.shape}")
-    denom = float(np.linalg.norm(x.values))
+    denom = frobenius_norm(x.values)
     if denom == 0.0:
         raise DegenerateInputError("relative error is undefined for an all-zero matrix")
     return _frobenius(x.values, pair.w, pair.h) / denom

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SigArchiveError, ValidationError
-from .linalg import FactorPair, FeatureMatrix, SolverOptions, nmf_factorize
+from .linalg import (STOP_REASONS, FactorPair, FeatureMatrix, SolverOptions,
+                     frobenius_norm, nmf_factorize)
 from .seeding import STREAM_PERTURB, generator
 
 logger = logging.getLogger(__name__)
@@ -55,12 +57,20 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class RankStats:
-    """Stability and fit summary for one candidate rank."""
+    """Stability and fit summary for one candidate rank.
+
+    The ``members_*`` counts say how the ensemble's factorizations ended:
+    by stop reason, in ``STOP_REASONS`` order, and how many failed.
+    """
 
     k: int
     min_silhouette: float
     mean_silhouette: float
     mean_relative_error: float
+    members_converged: int
+    members_capped: int
+    members_uphill: int
+    members_failed: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +223,7 @@ def select_rank(
 
     perturbed = [perturb(x, cfg.noise_epsilon, cfg.base_seed + i)
                  for i in range(cfg.n_perturbations)]
-    norms = [float(np.linalg.norm(p.values)) for p in perturbed]
+    norms = [frobenius_norm(p.values) for p in perturbed]
 
     def run_member(args: tuple[int, int]) -> tuple[int, FactorPair | None]:
         k, i = args
@@ -242,7 +252,9 @@ def select_rank(
         min_sil, mean_sil = ensemble_stability(clusters)
         # The trace ends at the residual of the returned factors (see FactorPair).
         mean_err = float(np.mean([fp.objective_trace[-1] / norms[i] for i, fp in pairs]))
-        stats.append(RankStats(k, min_sil, mean_sil, mean_err))
+        stops = Counter(fp.stop for _, fp in pairs)
+        stats.append(RankStats(k, min_sil, mean_sil, mean_err,
+                               *(stops[r] for r in STOP_REASONS), len(jobs) - len(pairs)))
 
     for prev, cur in zip(stats, stats[1:]):
         if cur.mean_relative_error > prev.mean_relative_error * (1 + _ERROR_SLACK):

@@ -6,13 +6,17 @@ implementations are checked against a second, structurally different route.
 """
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from sigarchive import ArchiveEntry, FeatureMatrix, SignatureArchive
+from sigarchive import ArchiveEntry, FeatureMatrix, SignatureArchive, SolverOptions
+from sigarchive import linalg
+from sigarchive.seeding import STREAM_NMF_INIT, generator
 
 
 def cli_env() -> dict[str, str]:
@@ -75,6 +79,44 @@ def nnls_exhaustive(a, b):
                 if obj < best_obj:
                     best, best_obj = x, obj
     return best, best_obj
+
+
+def nmf_every_sweep(x: FeatureMatrix, k: int, seed: int,
+                    opts: SolverOptions = SolverOptions()) -> SimpleNamespace:
+    """Reference NMF that evaluates the residual after every sweep.
+
+    The same multiplicative updates as ``nmf_factorize``, but the uphill
+    guard compares each sweep with the one before, the stop test runs at
+    every ``check_every``-th sweep, and ``trace[i]`` is the residual after
+    sweep ``i``.  The residual is the package's own ``linalg._frobenius``,
+    looked up at call time.  Returns ``w``, ``h``, ``trace``, ``sweeps`` and
+    ``stop``.
+    """
+    values = x.values
+    n, m = values.shape
+    rng = generator(seed, STREAM_NMF_INIT)
+    scale = math.sqrt(float(values.mean()) / k)
+    w = (1.0 - rng.random((n, k))) * scale
+    h = (1.0 - rng.random((k, m))) * scale
+    trace = [linalg._frobenius(values, w, h)]
+    stop = "capped"
+    for sweep in range(1, opts.max_iter + 1):
+        h_new = h * ((w.T @ values) / ((w.T @ w) @ h + linalg._UPDATE_EPS))
+        np.maximum(h_new, 0.0, out=h_new)
+        w_new = w * ((values @ h_new.T) / (w @ (h_new @ h_new.T) + linalg._UPDATE_EPS))
+        np.maximum(w_new, 0.0, out=w_new)
+        objective = linalg._frobenius(values, w_new, h_new)
+        if objective > trace[-1] + linalg.TRACE_TOLERANCE:
+            stop = "uphill"
+            break
+        w, h = w_new, h_new
+        trace.append(objective)
+        if sweep % opts.check_every == 0:
+            prev, cur = trace[-2], trace[-1]
+            if prev == 0.0 or (prev - cur) / prev < opts.tol:
+                stop = "converged"
+                break
+    return SimpleNamespace(w=w, h=h, trace=tuple(trace), sweeps=sweep, stop=stop)
 
 
 def rc_points_exact(scores, correct):

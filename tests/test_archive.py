@@ -94,6 +94,12 @@ class TestAssignClusters:
         assert np.allclose(np.linalg.norm(normed.w, axis=0), 1.0, atol=1e-12)
         assert np.allclose(normed.w @ normed.h, pair.w @ pair.h, atol=1e-12)
 
+    def test_normalize_factor_pair_keeps_run_record(self):
+        pair = FactorPair(np.full((2, 1), 2.0), np.ones((1, 3)), (9.0, 4.0), 5, 17, "capped")
+        normed = normalize_factor_pair(pair)
+        assert ((normed.objective_trace, normed.seed, normed.sweeps, normed.stop)
+                == ((9.0, 4.0), 5, 17, "capped"))
+
     def test_recovers_disjoint_generating_signatures(self):
         data, _ = generate_synthetic(SynthSpec(
             n_features=30, n_classes=3, samples_per_class=100,
@@ -213,6 +219,11 @@ class TestBuildArchive:
         assert root.selected_k is not None and root.per_k is not None
         doc = report.to_document()
         assert doc["nodes"][0]["selected_k"] == root.selected_k
+        for entry, stats in zip(doc["nodes"][0]["per_k"], root.per_k):
+            members = entry["members"]
+            assert list(members) == ["converged", "capped", "uphill", "failed"]
+            assert members["converged"] == stats.members_converged
+            assert sum(members.values()) == 8  # n_perturbations
 
 
 class TestArchiveTypes:
@@ -247,14 +258,6 @@ class TestArchiveTypes:
         assert np.array_equal(basis, np.column_stack([e.signature for e in entries]))
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
-
-    def test_build_config_snapshot_round_trip(self):
-        cfg = BuildConfig(
-            ensemble=EnsembleConfig(k_min=2, k_max=7, n_perturbations=12,
-                                    noise_epsilon=0.05, silhouette_threshold=0.8,
-                                    base_seed=3),
-            purity_threshold=0.9, min_cluster_size=4, max_depth=5, seed=17)
-        assert BuildConfig.from_snapshot(cfg.to_snapshot()) == cfg
 
     def test_build_config_rejects_low_purity(self):
         with pytest.raises(ValidationError):

@@ -18,9 +18,9 @@ BUILD_ARGS = ("build", "--features", "features.csv", "--labels", "labels.csv",
               "--n-perturbations", "6", "--min-cluster-size", "5", "--seed", "0")
 
 
-def run(args, cwd):
+def run(args, cwd, **env):
     return subprocess.run([sys.executable, "-m", "sigarchive.cli", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd, env=cli_env())
+                          capture_output=True, text=True, cwd=cwd, env={**cli_env(), **env})
 
 
 def read_rows(path):
@@ -328,3 +328,30 @@ class TestDeterminism:
         assert result.returncode == 0
         assert ((tmp_path / "predictions.csv").read_bytes()
                 == (workspace / "predictions.csv").read_bytes())
+
+    def test_blas_thread_count_never_changes_outputs(self, tmp_path):
+        # 40 x 1,000 samples: the whole-matrix residual norms are long enough
+        # for OpenBLAS to split a dot product across threads
+        steps = (
+            ("synth", "--n-classes", "4", "--samples-per-class", "250", "--seed", "7"),
+            ("build", "--features", "features.csv", "--labels", "labels.csv",
+             "--archive", "arc.json", "--k-max", "6", "--n-perturbations", "10"),
+            ("classify", "--archive", "arc.json", "--features", "features.csv",
+             "--output", "predictions.csv", "--threshold", "0.95"),
+            ("evaluate", "--predictions", "predictions.csv", "--truth", "truth.csv",
+             "--report", "report.json"),
+        )
+        for threads in ("1", "2"):
+            root = tmp_path / threads
+            root.mkdir()
+            for args in steps:
+                if args[0] == "evaluate":
+                    (root / "truth.csv").write_text("sample_id,label,novel\n" + "".join(
+                        f"{r['sample_id']},{r['label']},0\n"
+                        for r in read_rows(root / "labels.csv")))
+                result = run(args, root, OPENBLAS_NUM_THREADS=threads)
+                assert result.returncode == 0, result.stderr
+        for name in ("features.csv", "labels.csv", "truth.json", "arc.json",
+                     "arc.report.json", "predictions.csv", "report.json",
+                     "report.curve.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

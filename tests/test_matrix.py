@@ -6,19 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fm, nnls_exhaustive
+from conftest import fm, nmf_every_sweep, nnls_exhaustive
 from sigarchive import (
     DegenerateInputError,
     FactorPair,
     FeatureMatrix,
     SolverOptions,
     ValidationError,
+    linalg,
     nmf_factorize,
     nnls_solve,
     relative_error,
 )
+from sigarchive.linalg import frobenius_norm
 
 TIGHT = SolverOptions(tol=1e-9, max_iter=20000)
+
+
+def evaluated(trace_len: int, opts: SolverOptions) -> list[int]:
+    """Indices of a per-sweep trace whose residual ``nmf_factorize`` evaluates."""
+    ce = opts.check_every
+    return [0] + [s for s in range(1, trace_len)
+                  if s % ce in (0, ce - 1) or s == opts.max_iter]
 
 
 class TestFeatureMatrix:
@@ -123,7 +132,106 @@ class TestNmfFactorize:
         assert (pair.w >= 0).all() and (pair.h >= 0).all()
 
 
+class TestNmfEvaluatedSweeps:
+    """``nmf_factorize`` against the per-sweep reference in ``conftest``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_every_sweep_reference(self, data):
+        n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, min(n, m)))
+        seed = data.draw(st.integers(0, 10_000))
+        ce = data.draw(st.sampled_from([1, 2, 3, 10]))
+        max_iter = data.draw(st.integers(1, 300).filter(lambda v: ce == 1 or v % ce))
+        # tol 1e-300 runs to the cap; at scale 1e9 round-off exceeds
+        # TRACE_TOLERANCE, so the uphill guard fires too
+        opts = SolverOptions(tol=data.draw(st.sampled_from([1e-6, 1e-300])),
+                             max_iter=max_iter, check_every=ce)
+        x = fm(np.random.default_rng(seed).random((n, m))
+               * data.draw(st.sampled_from([1.0, 1e9])))
+        ref = nmf_every_sweep(x, k, seed, opts)
+        got = nmf_factorize(x, k, seed, opts)
+        assert got.objective_trace[-1] == linalg._frobenius(x.values, got.w, got.h)
+        if ref.stop == "uphill" and ce > 2:
+            # the guard fired between two evaluated sweeps: it is not seen there
+            return
+        assert np.array_equal(got.w, ref.w) and np.array_equal(got.h, ref.h)
+        assert got.objective_trace == tuple(
+            ref.trace[i] for i in evaluated(len(ref.trace), opts))
+        assert (got.sweeps, got.stop) == (ref.sweeps, ref.stop)
+
+    def test_every_sweep_run_equals_reference_through_an_uphill_stop(self):
+        x = fm(np.random.default_rng(27).random((4, 6)) * 1e9)
+        opts = SolverOptions(tol=1e-300, max_iter=300, check_every=1)
+        ref = nmf_every_sweep(x, 2, 27, opts)
+        got = nmf_factorize(x, 2, 27, opts)
+        assert (ref.stop, ref.sweeps) == ("uphill", 180)
+        assert np.array_equal(got.w, ref.w) and np.array_equal(got.h, ref.h)
+        assert got.objective_trace == ref.trace
+        assert (got.sweeps, got.stop) == (180, "uphill")
+
+    def test_uphill_guard_returns_last_evaluated_factors(self, monkeypatch):
+        x = fm(np.random.default_rng(7).random((6, 9)))
+        opts = SolverOptions(tol=1e-300, max_iter=50, check_every=10)
+        real = linalg._frobenius
+        calls = []
+
+        def spiked(values, w, h):
+            # evaluations: the start, then sweeps 9, 10 and 19
+            calls.append(None)
+            return real(values, w, h) + (1.0 if len(calls) == 4 else 0.0)
+
+        monkeypatch.setattr(linalg, "_frobenius", spiked)
+        got = nmf_factorize(x, 3, 5, opts)
+        monkeypatch.undo()
+        want = nmf_every_sweep(x, 3, 5, SolverOptions(tol=1e-300, max_iter=10))
+        assert (got.stop, got.sweeps) == ("uphill", 19)
+        assert np.array_equal(got.w, want.w) and np.array_equal(got.h, want.h)
+        assert got.objective_trace == tuple(want.trace[i] for i in (0, 9, 10))
+        assert got.objective_trace[-1] == real(x.values, got.w, got.h)
+
+    def test_criterion_1_cases_monotone_at_every_sweep(self):
+        # criterion 1's runs, with every sweep evaluated and so checked
+        every = SolverOptions(check_every=1)
+        worst = -np.inf
+        for trial in range(200):
+            rng = np.random.default_rng(trial)
+            x = fm(rng.random((20, 50)))
+            pair = nmf_factorize(x, 1 + trial % 5, trial, every)
+            trace = pair.objective_trace
+            assert len(trace) == pair.sweeps + (pair.stop != "uphill")
+            worst = max(worst, *(b - a for a, b in zip(trace, trace[1:])))
+            assert (pair.w >= 0).all() and (pair.h >= 0).all()
+        assert worst <= 1e-12
+
+    def test_stop_reasons(self):
+        x = fm(np.random.default_rng(9).random((5, 8)))
+        capped = nmf_factorize(x, 2, 0, SolverOptions(max_iter=7))
+        assert (capped.stop, capped.sweeps, len(capped.objective_trace)) == ("capped", 7, 2)
+        done = nmf_factorize(x, 2, 0, SolverOptions(tol=0.5))
+        assert (done.stop, done.sweeps, len(done.objective_trace)) == ("converged", 10, 3)
+
+
+class TestFrobeniusNorm:
+    def test_agrees_with_numpy_norm(self):
+        a = np.random.default_rng(1).random((40, 300))
+        assert frobenius_norm(a) == pytest.approx(float(np.linalg.norm(a)), rel=1e-14)
+        assert frobenius_norm(np.zeros((2, 3))) == 0.0
+
+    def test_memory_layout_does_not_change_the_sum(self):
+        a = np.random.default_rng(2).random((37, 211))
+        assert frobenius_norm(np.asfortranarray(a)) == frobenius_norm(a)
+
+
 class TestFactorPair:
+    def test_telemetry_defaults_and_checks(self):
+        pair = FactorPair(np.ones((2, 1)), np.ones((1, 2)), (1.0,), seed=0)
+        assert (pair.sweeps, pair.stop) == (0, "converged")
+        with pytest.raises(ValidationError):
+            FactorPair(np.ones((2, 1)), np.ones((1, 2)), (1.0,), 0, 3, "stalled")
+        with pytest.raises(ValidationError):
+            FactorPair(np.ones((2, 1)), np.ones((1, 2)), (1.0,), 0, -1)
+
     def test_rejects_increasing_trace(self):
         with pytest.raises(ValidationError):
             FactorPair(np.ones((2, 1)), np.ones((1, 2)), (1.0, 2.0), seed=0)

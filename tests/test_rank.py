@@ -8,11 +8,13 @@ from sigarchive import (
     DegenerateInputError,
     EnsembleConfig,
     FeatureMatrix,
+    SolverOptions,
     ValidationError,
     nmf_factorize,
     relative_error,
     select_rank,
 )
+from sigarchive import rank as rank_module
 from sigarchive.dataio import SynthSpec, generate_synthetic
 from sigarchive.rank import (
     RULE_FALLBACK,
@@ -273,6 +275,35 @@ class TestSelectRank:
                 pair = nmf_factorize(member, stats.k, cfg.base_seed + i)
                 errors.append(relative_error(member, pair))
             assert stats.mean_relative_error == float(np.mean(errors))
+
+    def test_member_stop_counts_match_recomputed_runs(self):
+        x = fm(np.random.default_rng(6).random((6, 20)) + 0.05)
+        cfg = EnsembleConfig(k_min=1, k_max=3, **FAST)
+        for solver in (SolverOptions(), SolverOptions(max_iter=15)):
+            for stats in select_rank(x, cfg, solver=solver).per_k:
+                stops = [nmf_factorize(perturb(x, cfg.noise_epsilon, cfg.base_seed + i),
+                                       stats.k, cfg.base_seed + i, solver).stop
+                         for i in range(cfg.n_perturbations)]
+                assert ((stats.members_converged, stats.members_capped,
+                         stats.members_uphill, stats.members_failed)
+                        == (stops.count("converged"), stops.count("capped"),
+                            stops.count("uphill"), 0))
+
+    def test_failed_members_are_counted(self, monkeypatch):
+        real = rank_module.nmf_factorize
+
+        def first_member_fails(x, k, seed, opts):
+            if seed == 0:
+                raise DegenerateInputError("member 0 fails")
+            return real(x, k, seed, opts)
+
+        monkeypatch.setattr(rank_module, "nmf_factorize", first_member_fails)
+        x = fm(np.random.default_rng(6).random((6, 20)) + 0.05)
+        report = select_rank(x, EnsembleConfig(k_min=1, k_max=2, **FAST))
+        for stats in report.per_k:
+            assert stats.members_failed == 1
+            assert (stats.members_converged + stats.members_capped
+                    + stats.members_uphill) == FAST["n_perturbations"] - 1
 
     def test_zero_matrix_degenerate(self):
         x = FeatureMatrix(np.zeros((3, 4)), tuple(f"s{i}" for i in range(4)))
