@@ -4,6 +4,8 @@ A sample is projected onto the full set of archived signatures by
 nonnegative least squares; the cosine similarity between the sample and its
 reconstruction is the confidence score.  Samples scoring below the decision
 threshold are rejected as unrecognized rather than forced into a class.
+A batch finds its projections together (:func:`~sigarchive.linalg.nnls_batch`)
+with the same bits as one :func:`~sigarchive.linalg.nnls_solve` per sample.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .archive import SignatureArchive
 from .errors import SigArchiveError, ValidationError
-from .linalg import FeatureMatrix, nnls_solve
+from .linalg import FeatureMatrix, nnls_batch, nnls_solve
 
 DECISION_CLASSIFIED = "classified"
 DECISION_REJECTED = "rejected"
@@ -148,6 +150,11 @@ def classify(
     invariant under positive rescaling of the sample.
     """
     coefficients, reconstruction = project(sample, archive)
+    return _decide(sample, coefficients, reconstruction, archive, cfg, sample_id)
+
+
+def _decide(sample, coefficients: np.ndarray, reconstruction: np.ndarray,
+            archive: SignatureArchive, cfg: InferenceConfig, sample_id: str) -> Prediction:
     value = score(sample, reconstruction)
     attributed = int(np.argmax(coefficients))
     accepted = value >= cfg.t - cfg.score_tolerance
@@ -166,8 +173,13 @@ def classify_batch(
     archive: SignatureArchive,
     cfg: InferenceConfig = InferenceConfig(),
 ) -> tuple[list[Prediction], list[BatchFailure]]:
-    """Classify every column of ``samples`` in order.
+    """Classify every column of ``samples`` in order, as :func:`classify`
+    would, one column at a time.
 
+    The projections are found for the whole batch at once: the passive sets
+    in one batched search, then each sample by the exact call ``nnls_solve``
+    ends on (:func:`~sigarchive.linalg.nnls_batch`).  A sample whose set is
+    not certified, such as an all-zero one, goes through :func:`classify`.
     Per-sample errors (e.g. all-zero vectors) are collected as
     :class:`BatchFailure` records instead of aborting the batch.
     """
@@ -175,11 +187,17 @@ def classify_batch(
         raise ValidationError(
             f"samples have {samples.n_features} features, archive expects "
             f"{archive.n_features}")
+    basis = archive.signature_matrix()
+    solved = (nnls_batch(basis, samples.values) if archive.entries
+              else [None] * samples.n_samples)
     predictions, failures = [], []
-    for j, sample_id in enumerate(samples.sample_ids):
+    for j, (sample_id, coefficients) in enumerate(zip(samples.sample_ids, solved)):
+        sample = samples.values[:, j]
         try:
-            predictions.append(classify(samples.values[:, j], archive, cfg,
-                                        sample_id=sample_id))
+            predictions.append(
+                classify(sample, archive, cfg, sample_id=sample_id) if coefficients is None
+                else _decide(sample, coefficients, basis @ coefficients, archive, cfg,
+                             sample_id))
         except SigArchiveError as exc:
             failures.append(BatchFailure(j, sample_id, str(exc)))
     return predictions, failures

@@ -1,8 +1,9 @@
 """Nonnegative matrix factorization and nonnegative least squares.
 
 Implements the two numeric workhorses of the package: Frobenius-norm NMF via
-multiplicative updates, and an active-set NNLS solver.  Both are written for
-dense float64 data and are deterministic given their inputs.
+multiplicative updates, and an active-set NNLS solver, per target vector
+(:func:`nnls_solve`) or for many targets at once (:func:`nnls_batch`).  All
+are written for dense float64 data and are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -285,20 +286,8 @@ def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = 1e-8) -> np.nda
     -------
     ndarray of shape (p,)
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValidationError(f"matrix must be 2-d, got shape {a.shape}")
-    n, p = a.shape
-    if b.shape != (n,):
-        raise ValidationError(f"target must have shape ({n},), got {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValidationError("nnls inputs must be finite")
-    col_norms = np.linalg.norm(a, axis=0)
-    if (col_norms == 0).any():
-        dead = int(np.argmin(col_norms))
-        raise ValidationError(f"matrix column {dead} has zero norm")
-
+    a, b = _nnls_inputs(a, b, 1)
+    p = a.shape[1]
     grad0 = a.T @ b
     tol = kkt_tol * float(np.abs(grad0).max())
 
@@ -312,6 +301,7 @@ def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = 1e-8) -> np.nda
         if passive.all() or w_free[j] <= tol:
             break
         passive[j] = True
+        # Each pass that does not break pins a passive variable: at most p passes.
         for _ in range(p + 1):
             cols = np.flatnonzero(passive)
             z = np.zeros(p)
@@ -339,6 +329,158 @@ def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = 1e-8) -> np.nda
     x[~passive] = 0.0
     np.maximum(x, 0.0, out=x)
     return x
+
+
+def _nnls_inputs(a, b, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float64 ``a`` of shape (n, p) and ``b`` of shape (n,) or,
+    with ``ndim`` 2, (n, m)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValidationError(f"matrix must be 2-d, got shape {a.shape}")
+    n = a.shape[0]
+    if b.ndim != ndim or b.shape[0] != n:
+        want = f"({n},)" if ndim == 1 else f"({n}, m)"
+        raise ValidationError(f"target must have shape {want}, got {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("nnls inputs must be finite")
+    col_norms = np.linalg.norm(a, axis=0)
+    if (col_norms == 0).any():
+        dead = int(np.argmin(col_norms))
+        raise ValidationError(f"matrix column {dead} has zero norm")
+    return a, b
+
+
+def _groups(passive: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The distinct columns of a boolean matrix, each with the indices of
+    the columns equal to it."""
+    order = np.lexsort(passive[::-1])
+    cuts = np.flatnonzero((passive[:, order[1:]] != passive[:, order[:-1]]).any(axis=0))
+    return [(passive[:, cols[0]], cols) for cols in np.split(order, cuts + 1) if cols.size]
+
+
+def _solve_on_sets(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Least-squares solution of every column of ``c`` on its passive set,
+    zero elsewhere: one normal-equations solve per distinct passive set."""
+    z = np.zeros(c.shape)
+    for in_set, cols in _groups(passive):
+        rows = np.flatnonzero(in_set)
+        try:
+            z[np.ix_(rows, cols)] = np.linalg.solve(gram[np.ix_(rows, rows)],
+                                                    c[np.ix_(rows, cols)])
+        except np.linalg.LinAlgError:   # singular: leave the set to be refused
+            z[:, cols] = np.nan
+    return z
+
+
+def _nnls_passive_sets(gram: np.ndarray, c: np.ndarray,
+                       kkt_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The active-set search of :func:`nnls_solve`, for all columns of
+    ``c = a.T @ b`` at once (FCNNLS: Van Benthem & Keenan, J. Chemometrics
+    2004).
+
+    Same entering rule, step and pin rule and step limit, but on the normal
+    equations, so a column may end on another set than ``nnls_solve`` would.
+    Returns the final passive sets as the columns of a (p, m) boolean array,
+    and which columns stopped within the step limit.
+    """
+    p, m = c.shape
+    tol = kkt_tol * np.abs(c).max(axis=0)
+    x = np.zeros((p, m))
+    passive = np.zeros((p, m), dtype=bool)
+    todo = np.arange(m)
+    for _ in range(max(3 * p, 30)):
+        w = np.where(passive[:, todo], -np.inf, c[:, todo] - gram @ x[:, todo])
+        enter = np.argmax(w, axis=0)
+        go = w[enter, np.arange(todo.size)] > tol[todo]
+        todo, enter = todo[go], enter[go]
+        if not todo.size:
+            break
+        passive[enter, todo] = True
+        inner = todo
+        for _ in range(p + 1):
+            z = _solve_on_sets(gram, c[:, inner], passive[:, inner])
+            ps = passive[:, inner]
+            done = np.where(ps, z, np.inf).min(axis=0) > 0
+            x[:, inner[done]] = z[:, done]
+            inner, z, ps, xs = inner[~done], z[:, ~done], ps[:, ~done], x[:, inner[~done]]
+            if not inner.size:
+                break
+            ratios = np.where(ps & (z <= 0), xs / (xs - z), np.inf)
+            block = np.argmin(ratios, axis=0)
+            span = np.arange(inner.size)
+            xs = xs + ratios[block, span] * (z - xs)
+            pinned = ps & (xs <= 1e-14)
+            pinned[block, span] = True
+            xs[pinned] = 0.0
+            x[:, inner] = xs
+            passive[:, inner] = ps & ~pinned
+            inner = inner[passive[:, inner].any(axis=0)]
+    stopped = np.ones(m, dtype=bool)
+    stopped[todo] = False   # still searching when the step limit ran out
+    return passive, stopped
+
+
+def _finish(a: np.ndarray, b: np.ndarray, cols: np.ndarray, off: np.ndarray,
+            margin: np.ndarray, kkt_tol: float) -> np.ndarray | None:
+    """:func:`nnls_solve`'s result for ``b`` if it ends on passive set
+    ``cols`` (the other columns being ``off``), computed by the call it
+    returns from; None unless the set clears both margins."""
+    tol = kkt_tol * float(np.abs(a.T @ b).max())
+    x = np.zeros(a.shape[1])
+    if cols.size:
+        x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+    gradient = a.T @ (b - a @ x)
+    if (gradient[off] < -tol).all() and (x[cols] > tol * margin).all():
+        return x
+    return None
+
+
+def nnls_batch(a: np.ndarray, b: np.ndarray, *,
+               kkt_tol: float = 1e-8) -> list[np.ndarray | None]:
+    """:func:`nnls_solve` for every column of ``b``, bit for bit, where that
+    can be certified without running it.
+
+    Two phases.  Discovery runs the Lawson-Hanson search on all columns at
+    once through ``a.T @ a`` and ``a.T @ b``, grouping the columns that share
+    a passive set; it proposes a set per column and fixes no output bit.
+    The finish solves each column on its proposed set P with the exact
+    ``lstsq`` call that ``nnls_solve`` returns from, on a fresh contiguous
+    copy of the column, and keeps the result only if, with ``nnls_solve``'s
+    ``tol``, every gradient off P is strictly below ``-tol`` and every
+    ``x_j`` on P exceeds ``2 * tol * inv(G_P)_jj``, where ``G_P`` is the
+    Gram matrix of the columns in P.  ``nnls_solve`` stops once no gradient
+    off its set exceeds ``+tol``, and ``x_j / inv(G_P)_jj`` is the gradient
+    j has on P less j, so the margins refuse any set that this tolerance
+    could leave ``nnls_solve`` ending either on or beside.
+
+    Parameters
+    ----------
+    a : ndarray of shape (n, p)
+        Dense matrix; every column must have nonzero norm.
+    b : ndarray of shape (n, m)
+        One target per column.
+
+    Returns
+    -------
+    list of m entries: ndarray of shape (p,), or None where the set was not
+    certified (for instance an all-zero column) and the caller must call
+    ``nnls_solve``.
+    """
+    a, b = _nnls_inputs(a, b, 2)
+    gram = a.T @ a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        passive, stopped = _nnls_passive_sets(gram, a.T @ b, kkt_tol)
+    solved = [None] * b.shape[1]
+    for in_set, members in _groups(passive):
+        cols, off = np.flatnonzero(in_set), np.flatnonzero(~in_set)
+        try:
+            margin = 2.0 * np.diag(np.linalg.inv(gram[np.ix_(cols, cols)]))
+        except np.linalg.LinAlgError:
+            margin = np.full(cols.size, np.inf)
+        for j in members[stopped[members]]:
+            solved[j] = _finish(a, np.array(b[:, j]), cols, off, margin, kkt_tol)
+    return solved
 
 
 def relative_error(x: FeatureMatrix, pair: FactorPair) -> float:
