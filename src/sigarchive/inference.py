@@ -4,8 +4,8 @@ A sample is projected onto the full set of archived signatures by
 nonnegative least squares; the cosine similarity between the sample and its
 reconstruction is the confidence score.  Samples scoring below the decision
 threshold are rejected as unrecognized rather than forced into a class.
-A batch finds its projections together (:func:`~sigarchive.linalg.nnls_batch`)
-with the same bits as one :func:`~sigarchive.linalg.nnls_solve` per sample.
+A batch finds its projections together, with the same bits as one
+:func:`~sigarchive.linalg.nnls_solve` per sample.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .archive import SignatureArchive
 from .errors import SigArchiveError, ValidationError
-from .linalg import FeatureMatrix, nnls_batch, nnls_solve
+from .linalg import FeatureMatrix, _nnls_batch, nnls_solve
 
 DECISION_CLASSIFIED = "classified"
 DECISION_REJECTED = "rejected"
@@ -178,8 +178,8 @@ def classify_batch(
 
     The projections are found for the whole batch at once: the passive sets
     in one batched search, then each sample by the exact call ``nnls_solve``
-    ends on (:func:`~sigarchive.linalg.nnls_batch`).  A sample whose set is
-    not certified, such as an all-zero one, goes through :func:`classify`.
+    ends on.  A sample whose set is not certified, such as an all-zero one,
+    goes through :func:`classify`.
     Per-sample errors (e.g. all-zero vectors) are collected as
     :class:`BatchFailure` records instead of aborting the batch.
     """
@@ -188,7 +188,7 @@ def classify_batch(
             f"samples have {samples.n_features} features, archive expects "
             f"{archive.n_features}")
     basis = archive.signature_matrix()
-    solved = (nnls_batch(basis, samples.values) if archive.entries
+    solved = (_nnls_batch(basis, samples.values) if archive.entries
               else [None] * samples.n_samples)
     predictions, failures = [], []
     for j, (sample_id, coefficients) in enumerate(zip(samples.sample_ids, solved)):

@@ -1,8 +1,8 @@
 """Nonnegative matrix factorization and nonnegative least squares.
 
 Implements the two numeric workhorses of the package: Frobenius-norm NMF via
-multiplicative updates, and an active-set NNLS solver, per target vector
-(:func:`nnls_solve`) or for many targets at once (:func:`nnls_batch`).  All
+multiplicative updates, and an active-set NNLS solver (:func:`nnls_solve`),
+with a batched form that returns its bits for many targets at once.  All
 are written for dense float64 data and are deterministic given their inputs.
 """
 
@@ -19,6 +19,7 @@ from .seeding import STREAM_NMF_INIT, generator
 
 TRACE_TOLERANCE = 1e-12  # absolute slack for float round-off in objective traces
 _UPDATE_EPS = 1e-12      # denominator guard in multiplicative updates
+_KKT_TOL = 1e-8          # NNLS stopping tolerance, relative to max |a.T @ b|
 
 STOP_CONVERGED = "converged"
 STOP_CAPPED = "capped"
@@ -268,7 +269,7 @@ def nmf_factorize(
     return FactorPair(w, h, tuple(trace), seed, sweep, stop)
 
 
-def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = 1e-8) -> np.ndarray:
+def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = _KKT_TOL) -> np.ndarray:
     """Solve ``min_h ||a @ h - b||`` subject to ``h >= 0``.
 
     Lawson-Hanson active-set iteration.  The returned vector is exactly
@@ -373,8 +374,7 @@ def _solve_on_sets(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.n
     return z
 
 
-def _nnls_passive_sets(gram: np.ndarray, c: np.ndarray,
-                       kkt_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _nnls_passive_sets(gram: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The active-set search of :func:`nnls_solve`, for all columns of
     ``c = a.T @ b`` at once (FCNNLS: Van Benthem & Keenan, J. Chemometrics
     2004).
@@ -385,7 +385,7 @@ def _nnls_passive_sets(gram: np.ndarray, c: np.ndarray,
     and which columns stopped within the step limit.
     """
     p, m = c.shape
-    tol = kkt_tol * np.abs(c).max(axis=0)
+    tol = _KKT_TOL * np.abs(c).max(axis=0)
     x = np.zeros((p, m))
     passive = np.zeros((p, m), dtype=bool)
     todo = np.arange(m)
@@ -421,65 +421,73 @@ def _nnls_passive_sets(gram: np.ndarray, c: np.ndarray,
     return passive, stopped
 
 
+def _margins(gram: np.ndarray, cols: np.ndarray,
+             off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per passive column j, ``2 * sum_k max(inv(G_P)_jk, 0)``; per off-set
+    column i, ``1 + 2 * sum_k max(r_ik, 0)`` with ``r_i = inv(G_P) G_Pi``.
+    Infinite (nothing certified) if ``G_P`` is singular."""
+    try:
+        inv = np.linalg.inv(gram[np.ix_(cols, cols)])
+    except np.linalg.LinAlgError:
+        return np.full(cols.size, np.inf), np.full(off.size, np.inf)
+    reach = np.maximum(gram[np.ix_(off, cols)] @ inv, 0.0).sum(axis=1)
+    return 2.0 * np.maximum(inv, 0.0).sum(axis=1), 1.0 + 2.0 * reach
+
+
 def _finish(a: np.ndarray, b: np.ndarray, cols: np.ndarray, off: np.ndarray,
-            margin: np.ndarray, kkt_tol: float) -> np.ndarray | None:
+            on_margin: np.ndarray, off_margin: np.ndarray) -> np.ndarray | None:
     """:func:`nnls_solve`'s result for ``b`` if it ends on passive set
     ``cols`` (the other columns being ``off``), computed by the call it
-    returns from; None unless the set clears both margins."""
-    tol = kkt_tol * float(np.abs(a.T @ b).max())
+    returns from; None unless the set clears the :func:`_margins`."""
+    tol = _KKT_TOL * float(np.abs(a.T @ b).max())
     x = np.zeros(a.shape[1])
     if cols.size:
         x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
     gradient = a.T @ (b - a @ x)
-    if (gradient[off] < -tol).all() and (x[cols] > tol * margin).all():
+    if (gradient[off] < -tol * off_margin).all() and (x[cols] > tol * on_margin).all():
         return x
     return None
 
 
-def nnls_batch(a: np.ndarray, b: np.ndarray, *,
-               kkt_tol: float = 1e-8) -> list[np.ndarray | None]:
+def _nnls_batch(a: np.ndarray, b: np.ndarray) -> list[np.ndarray | None]:
     """:func:`nnls_solve` for every column of ``b``, bit for bit, where that
-    can be certified without running it.
+    can be certified without running it; None where the caller must run it.
 
-    Two phases.  Discovery runs the Lawson-Hanson search on all columns at
-    once through ``a.T @ a`` and ``a.T @ b``, grouping the columns that share
-    a passive set; it proposes a set per column and fixes no output bit.
-    The finish solves each column on its proposed set P with the exact
-    ``lstsq`` call that ``nnls_solve`` returns from, on a fresh contiguous
-    copy of the column, and keeps the result only if, with ``nnls_solve``'s
-    ``tol``, every gradient off P is strictly below ``-tol`` and every
-    ``x_j`` on P exceeds ``2 * tol * inv(G_P)_jj``, where ``G_P`` is the
-    Gram matrix of the columns in P.  ``nnls_solve`` stops once no gradient
-    off its set exceeds ``+tol``, and ``x_j / inv(G_P)_jj`` is the gradient
-    j has on P less j, so the margins refuse any set that this tolerance
-    could leave ``nnls_solve`` ending either on or beside.
+    Discovery runs the Lawson-Hanson search on all columns at once through
+    ``G = a.T @ a`` and ``a.T @ b``, grouping the columns that share a
+    passive set; it proposes a set P per column and fixes no output bit.
+    The finish solves each column on P with the exact ``lstsq`` call that
+    ``nnls_solve`` returns from, on a fresh contiguous copy of the column,
+    so the bits agree whenever ``nnls_solve`` ends on P.
 
-    Parameters
-    ----------
-    a : ndarray of shape (n, p)
-        Dense matrix; every column must have nonzero norm.
-    b : ndarray of shape (n, m)
-        One target per column.
+    ``nnls_solve`` ends on a set Q with ``y = lstsq`` on Q positive and
+    every gradient ``w_i = (a.T @ (b - a @ y))_i`` off Q at most ``tol``.
+    Such a y exactly minimizes ``||a @ h - b||^2 / 2 + e @ h`` over
+    ``h >= 0`` for ``e = max(w, 0)`` off Q, 0 on Q: one e in ``[0, tol]^p``.
+    P is certified when, for every such e, ``x_P - inv(G_P) e_P`` stays
+    positive and every gradient off P stays negative; then that point is
+    the minimizer for each e, so y is that point (``a[:, P]`` has full
+    rank) and Q = P.  Worst cases over the box give the two tests made:
+    ``x_j > tol * sum_k max(inv(G_P)_jk, 0)`` on P and
+    ``w_i < -tol * sum_k max(r_ik, 0)`` off P, where ``r_i`` solves
+    ``G_P r_i = G_Pi``.  Both are doubled, and every off-set gradient also
+    kept below ``-tol``, as slack for the rounding of both solvers.  This
+    rules out every Q other than P, whatever it drops or adds; it assumes
+    ``nnls_solve`` stops within its step limit.
 
-    Returns
-    -------
-    list of m entries: ndarray of shape (p,), or None where the set was not
-    certified (for instance an all-zero column) and the caller must call
-    ``nnls_solve``.
+    Returns one entry per column of ``b``: ndarray of shape (p,), or None
+    where the set was not certified (for instance an all-zero column).
     """
     a, b = _nnls_inputs(a, b, 2)
     gram = a.T @ a
     with np.errstate(divide="ignore", invalid="ignore"):
-        passive, stopped = _nnls_passive_sets(gram, a.T @ b, kkt_tol)
+        passive, stopped = _nnls_passive_sets(gram, a.T @ b)
     solved = [None] * b.shape[1]
     for in_set, members in _groups(passive):
         cols, off = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-        try:
-            margin = 2.0 * np.diag(np.linalg.inv(gram[np.ix_(cols, cols)]))
-        except np.linalg.LinAlgError:
-            margin = np.full(cols.size, np.inf)
+        on_margin, off_margin = _margins(gram, cols, off)
         for j in members[stopped[members]]:
-            solved[j] = _finish(a, np.array(b[:, j]), cols, off, margin, kkt_tol)
+            solved[j] = _finish(a, np.array(b[:, j]), cols, off, on_margin, off_margin)
     return solved
 
 

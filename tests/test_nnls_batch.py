@@ -1,4 +1,4 @@
-"""Batched NNLS (``linalg.nnls_batch``) and the batched ``classify_batch``.
+"""Batched NNLS (``linalg._nnls_batch``) and the batched ``classify_batch``.
 
 ``nnls_solve`` is the reference: every coefficient vector the batch returns
 must have its bytes, and a column the batch cannot certify is returned as
@@ -24,7 +24,7 @@ from sigarchive import (
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic
 from sigarchive.inference import BatchFailure
-from sigarchive.linalg import nnls_batch
+from sigarchive.linalg import _nnls_batch as nnls_batch
 
 KKT_TOL = 1e-8
 
@@ -132,14 +132,35 @@ class TestNnlsBatch:
             nnls_batch(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((2, 1)))
 
 
-def within_tolerance_cases():
-    """Two problems whose optimum has a coefficient x_j so small that the
-    gradient j has without it, x_j / inv(G_P)_jj, lies in (0, tol].
+def stopping_sets(a, b):
+    """Every passive set on which ``nnls_solve`` may stop: its least-squares
+    solution is positive and no gradient off it exceeds ``tol``."""
+    p = a.shape[1]
+    tol = KKT_TOL * np.abs(a.T @ b).max()
+    for r in range(p + 1):
+        for subset in itertools.combinations(range(p), r):
+            cols = list(subset)
+            x = np.zeros(p)
+            if cols:
+                x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            gradient = a.T @ (b - a @ x)
+            if (x[cols] > 0).all() and (np.delete(gradient, cols) <= tol).all():
+                yield cols
 
-    In the first, Lawson-Hanson stops without j; in the second, j entered
-    first and stays.  Either way the other set is a trap: it meets
-    ``nnls_solve``'s stopping rule (gradient <= +tol off the set), or has a
-    positive solution, yet ``nnls_solve`` does not end on it.
+
+def within_tolerance_cases():
+    """Problems with two sets on which ``nnls_solve`` may stop: the one it
+    ends on (``final``) and a trap it does not end on.
+
+    1. Lawson-Hanson stops short of a coefficient so small that the gradient
+       it has without it, x_j / inv(G_P)_jj, lies in (0, tol].
+    2. The same, but that coefficient entered first and stays.
+    3. The trap adds three coefficients of 2.5 * tol * inv(G_P)_jj, whose
+       inverse-Gram rows are 1, 0.9, 0.9: each alone would be too large to
+       drop, but their joint gradient without them is 2.5 * tol / 2.8.
+    4. The trap swaps a column for one ten times its length and nearly
+       parallel: off the trap it has gradient -2 * tol, yet the trap's
+       column has gradient 0.2 * tol once the other is in.
     """
     c = 0.5
     stops_short = np.array([[1.0, c], [0.0, np.sqrt(1 - c * c)], [0.0, 0.0]])
@@ -153,22 +174,23 @@ def within_tolerance_cases():
     tiny = 0.5 * tol * np.linalg.inv(enters_first.T @ enters_first)[2, 2]
     yield enters_first, enters_first @ [1.0, 1.0, tiny], [0, 1, 2], [0, 1]
 
+    drops_three = np.eye(4)
+    inv_gram = 0.1 * np.eye(3) + 0.9
+    drops_three[:3, :3] = np.linalg.cholesky(np.linalg.inv(inv_gram)).T
+    yield drops_three, drops_three @ [2.5 * KKT_TOL, 2.5 * KKT_TOL, 2.5 * KKT_TOL, 1.0], \
+        [3], [0, 1, 2, 3]
+
+    swaps = np.array([[1.0, 10.0], [0.0, 1e-4]])
+    yield swaps, np.array([1.0, -2e-3]), [1], [0]
+
 
 class TestCertificate:
     """The finish must refuse every set ``nnls_solve`` does not end on."""
 
     @pytest.mark.parametrize("a,b,final,trap", list(within_tolerance_cases()))
-    def test_cases_sit_inside_the_tolerance(self, a, b, final, trap):
-        x = nnls_solve(a, b)
-        assert np.flatnonzero(x).tolist() == final
-        j = (set(final) ^ set(trap)).pop()
-        wide = sorted(set(final) | set(trap))
-        sub = a[:, wide]
-        xw = np.linalg.lstsq(sub, b, rcond=None)[0]
-        k = wide.index(j)
-        gradient = xw[k] / np.linalg.inv(sub.T @ sub)[k, k]
-        tol = KKT_TOL * np.abs(a.T @ b).max()
-        assert 0 < gradient <= tol and xw.min() > 0
+    def test_trap_meets_the_stopping_rule(self, a, b, final, trap):
+        assert np.flatnonzero(nnls_solve(a, b)).tolist() == final
+        assert trap in list(stopping_sets(a, b))
 
     @pytest.mark.parametrize("a,b,final,trap", list(within_tolerance_cases()))
     def test_every_candidate_set_is_refused_or_exact(self, monkeypatch, a, b, final, trap):
@@ -179,14 +201,46 @@ class TestCertificate:
                 passive = np.zeros((p, 1), dtype=bool)
                 passive[list(subset)] = True
                 monkeypatch.setattr(linalg, "_nnls_passive_sets",
-                                    lambda g, c, tol, s=passive: (s, np.ones(1, bool)))
+                                    lambda g, c, s=passive: (s, np.ones(1, bool)))
                 x = nnls_batch(a, b[:, None])[0]
                 assert x is None or x.tobytes() == want.tobytes(), subset
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_near_tolerance_sets_are_refused_or_exact(self, seed):
+        # problems whose optimum has coefficients of a few tol, often with
+        # near-parallel or rescaled columns; every candidate set is tried
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 5))
+        n = int(rng.integers(p, p + 3))
+        a = rng.standard_normal((n, p)) if rng.random() < 0.5 else rng.random((n, p))
+        if rng.random() < 0.5:
+            i, k = rng.choice(p, 2, replace=False)
+            a[:, k] = a[:, i] + rng.choice([0.1, 0.01]) * rng.standard_normal(n)
+        a *= rng.choice([0.1, 1.0, 3.0, 10.0], size=p)
+        x = rng.random(p) * (rng.random(p) < 0.6)
+        scale = KKT_TOL * (np.abs(a.T @ a @ x).max() + 1.0)
+        tiny = rng.random(p) < 0.5
+        x[tiny] = 6 * scale * rng.uniform(-1, 1, tiny.sum())
+        b = a @ x + 5 * scale * rng.random() * rng.standard_normal(n)
+        try:
+            want = nnls_solve(a, b)
+        except SigArchiveError:
+            return
+        for r in range(p + 1):
+            for subset in itertools.combinations(range(p), r):
+                passive = np.zeros((p, 1), dtype=bool)
+                passive[list(subset)] = True
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(linalg, "_nnls_passive_sets",
+                                  lambda g, c, s=passive: (s, np.ones(1, bool)))
+                    got = nnls_batch(a, b[:, None])[0]
+                assert got is None or got.tobytes() == want.tobytes(), subset
 
     def test_step_limit_columns_are_not_certified(self, monkeypatch):
         a = np.eye(2)
         monkeypatch.setattr(linalg, "_nnls_passive_sets",
-                            lambda g, c, tol: (np.ones((2, 1), bool), np.zeros(1, bool)))
+                            lambda g, c: (np.ones((2, 1), bool), np.zeros(1, bool)))
         assert nnls_batch(a, np.ones((2, 1))) == [None]
 
 
