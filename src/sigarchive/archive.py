@@ -304,7 +304,6 @@ def build_archive(
     cfg: BuildConfig,
     *,
     solver: SolverOptions = SolverOptions(),
-    workers: int | None = None,
 ) -> tuple[SignatureArchive, BuildReport]:
     """Build a labeled signature archive from training data.
 
@@ -322,7 +321,6 @@ def build_archive(
     if any(not v for v in all_labels):
         raise ValidationError("labels must be nonempty strings")
 
-    feature_names = x.feature_names or tuple(f"f{i}" for i in range(x.n_features))
     entries: list[ArchiveEntry] = []
     unresolved: list[UnresolvedGroup] = []
     node_reports: list[NodeReport] = []
@@ -334,11 +332,14 @@ def build_archive(
     def visit(indices: np.ndarray, path: str, depth: int) -> None:
         size = len(indices)
         node_labels = [all_labels[i] for i in indices]
-        if size < cfg.min_cluster_size:
-            park(indices, path, REASON_NODE_TOO_SMALL)
+
+        def stop(reason: str) -> None:
+            park(indices, path, reason)
             node_reports.append(NodeReport(path, depth, size, None,
-                                           "stopped:" + REASON_NODE_TOO_SMALL, None, ()))
-            return
+                                           "stopped:" + reason, None, ()))
+
+        if size < cfg.min_cluster_size:
+            return stop(REASON_NODE_TOO_SMALL)
 
         sub = x.select_samples(indices)
         seed = node_seed(cfg.seed, path)
@@ -348,10 +349,7 @@ def build_archive(
             try:
                 pair = normalize_factor_pair(nmf_factorize(sub, 1, seed, solver))
             except SigArchiveError:
-                park(indices, path, REASON_DEGENERATE)
-                node_reports.append(NodeReport(path, depth, size, None,
-                                               "stopped:" + REASON_DEGENERATE, None, ()))
-                return
+                return stop(REASON_DEGENERATE)
             entries.append(ArchiveEntry(pair.w[:, 0], node_labels[0], 1.0,
                                         size, f"{path}/k1/c0", depth))
             node_reports.append(NodeReport(
@@ -360,23 +358,17 @@ def build_archive(
             return
 
         if depth >= cfg.max_depth:
-            park(indices, path, REASON_MAX_DEPTH)
-            node_reports.append(NodeReport(path, depth, size, None,
-                                           "stopped:" + REASON_MAX_DEPTH, None, ()))
-            return
+            return stop(REASON_MAX_DEPTH)
 
         k_max = min(cfg.ensemble.k_max, x.n_features, size - 1, _NODE_K_CAP)
         k_min = min(cfg.ensemble.k_min, k_max)
         ens = replace(cfg.ensemble, k_min=k_min, k_max=k_max, base_seed=seed)
         try:
-            report = select_rank(sub, ens, solver=solver, workers=workers)
+            report = select_rank(sub, ens, solver=solver)
             k = report.selected_k
             pair = normalize_factor_pair(nmf_factorize(sub, k, seed, solver))
         except SigArchiveError:
-            park(indices, path, REASON_DEGENERATE)
-            node_reports.append(NodeReport(path, depth, size, None,
-                                           "stopped:" + REASON_DEGENERATE, None, ()))
-            return
+            return stop(REASON_DEGENERATE)
 
         assignment = assign_clusters(pair)
         cluster_reports: list[ClusterReport] = []
@@ -428,7 +420,7 @@ def build_archive(
             f"sample conservation violated: {archived} archived + {parked} "
             f"unresolved != {x.n_samples}")
 
-    archive = SignatureArchive(tuple(entries), feature_names,
+    archive = SignatureArchive(tuple(entries), x.names,
                                cfg.to_snapshot(), tuple(unresolved))
     report = BuildReport(tuple(node_reports), x.n_samples, archived, parked)
     return archive, report

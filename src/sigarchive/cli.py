@@ -2,8 +2,9 @@
 
 Four subcommands wire the pipeline end to end.  Exit codes are stable:
 0 success, 1 runtime or numeric failure, 2 usage or validation failure.
-All randomness flows from ``--seed``; ``build --workers`` bounds internal
-parallelism and never changes any output byte.
+All randomness flows from ``--seed``.  ``build --workers`` is accepted as a
+parallelism bound that rank selection, running on one thread, always meets;
+it never changes any output byte.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     report_path = args.report if args.report else _sibling_path(args.archive, ".report.json")
     attempted: list[Path] = []
     try:
-        archive, report = build_archive(normalized.features, normalized.labels,
-                                        cfg, workers=args.workers)
+        archive, report = build_archive(normalized.features, normalized.labels, cfg)
         # The scaling fitted at build time travels inside the archive so
         # cmd_classify can apply the identical transform to new samples.
         archive = replace(archive, build_config={**archive.build_config,
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[dataio.MODE_PER_FEATURE_MAX, dataio.MODE_NONE])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallelism bound; outputs are identical for any value")
+                   help="accepted parallelism bound; rank selection runs on one "
+                        "thread, so outputs are identical for any value")
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("classify", help="classify samples against an archive")

@@ -161,9 +161,8 @@ def write_rows(path, rows) -> None:
 
 
 def save_features_csv(features: FeatureMatrix, path) -> None:
-    names = features.feature_names or tuple(f"f{i}" for i in range(features.n_features))
     rows = [[_FEATURE_CORNER, *features.sample_ids]]
-    for i, name in enumerate(names):
+    for i, name in enumerate(features.names):
         rows.append([name, *(format_float(v) for v in features.values[i])])
     write_rows(path, rows)
 
@@ -235,7 +234,7 @@ def normalize(dataset: LabeledDataset, mode: str = MODE_PER_FEATURE_MAX,
     identity.
     """
     features = dataset.features
-    names = features.feature_names or tuple(f"f{i}" for i in range(features.n_features))
+    names = features.names
     if mode == MODE_NONE:
         params = NormalizationParams(MODE_NONE, names, None, ())
         return dataset, params

@@ -280,14 +280,13 @@ def evaluate_predictions(
     curve = risk_coverage_curve(scores, predicted_labels, truth_labels, novel_flags)
     metrics = classification_metrics(decisions, predicted_labels, truth_labels, novel_flags)
     rates = rejection_rates(decisions, novel_flags)
-    covered = sum(1 for d in decisions if d == DECISION_CLASSIFIED)
-    novel_count = sum(1 for v in novel_flags if v)
+    m = len(decisions)
     return EvalReport(
         rc_curve=curve,
         aurc=aurc(curve),
-        operating_coverage=covered / len(list(decisions)),
+        operating_coverage=metrics.covered_count / m,
         metrics=metrics,
         rejection=rates,
-        n_samples=len(list(decisions)),
-        n_novel=novel_count,
+        n_samples=m,
+        n_novel=sum(1 for v in novel_flags if v),
     )

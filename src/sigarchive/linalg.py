@@ -93,6 +93,11 @@ class FeatureMatrix:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """``feature_names``, or ``f0``, ``f1``, ... when none were given."""
+        return self.feature_names or tuple(f"f{i}" for i in range(self.n_features))
+
     def select_samples(self, indices: Sequence[int]) -> "FeatureMatrix":
         """Column-subset copy preserving ids and feature names."""
         idx = list(indices)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,7 +204,6 @@ def select_rank(
     cfg: EnsembleConfig,
     *,
     solver: SolverOptions = SolverOptions(),
-    workers: int | None = None,
 ) -> RankSelectionReport:
     """Scan ``[cfg.k_min, cfg.k_max]`` and pick the largest stable rank.
 
@@ -213,8 +211,7 @@ def select_rank(
     ensemble reaches ``cfg.silhouette_threshold`` (rank 1 scores 1 by
     convention).  If no rank qualifies the best-silhouette rank is returned
     with the fallback rule flagged; a single-candidate scan is flagged as
-    forced.  Identical inputs yield identical reports regardless of
-    ``workers``.
+    forced.
     """
     n, m = x.values.shape
     if cfg.k_max > min(n, m):
@@ -225,36 +222,29 @@ def select_rank(
                  for i in range(cfg.n_perturbations)]
     norms = [frobenius_norm(p.values) for p in perturbed]
 
-    def run_member(args: tuple[int, int]) -> tuple[int, FactorPair | None]:
-        k, i = args
-        try:
-            return i, nmf_factorize(perturbed[i], k, cfg.base_seed + i, solver)
-        except SigArchiveError:
-            return i, None
-
     stats: list[RankStats] = []
     for k in range(cfg.k_min, cfg.k_max + 1):
-        jobs = [(k, i) for i in range(cfg.n_perturbations)]
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_member, jobs))
-        else:
-            results = [run_member(j) for j in jobs]
-        pairs = [(i, fp) for i, fp in results if fp is not None]
+        pairs: list[tuple[int, FactorPair]] = []
+        for i in range(cfg.n_perturbations):
+            try:
+                pairs.append((i, nmf_factorize(perturbed[i], k, cfg.base_seed + i, solver)))
+            except SigArchiveError:
+                pass
+        failed = cfg.n_perturbations - len(pairs)
         if len(pairs) < 2:
             raise DegenerateInputError(
                 f"ensemble degenerate at k={k}: {len(pairs)} of "
                 f"{cfg.n_perturbations} factorizations succeeded")
-        if len(pairs) < len(jobs):
+        if failed:
             logger.warning("k=%d: %d ensemble member(s) failed and were skipped",
-                           k, len(jobs) - len(pairs))
+                           k, failed)
         clusters = cluster_ensemble_signatures([fp.w for _, fp in pairs])
         min_sil, mean_sil = ensemble_stability(clusters)
         # The trace ends at the residual of the returned factors (see FactorPair).
         mean_err = float(np.mean([fp.objective_trace[-1] / norms[i] for i, fp in pairs]))
         stops = Counter(fp.stop for _, fp in pairs)
         stats.append(RankStats(k, min_sil, mean_sil, mean_err,
-                               *(stops[r] for r in STOP_REASONS), len(jobs) - len(pairs)))
+                               *(stops[r] for r in STOP_REASONS), failed))
 
     for prev, cur in zip(stats, stats[1:]):
         if cur.mean_relative_error > prev.mean_relative_error * (1 + _ERROR_SLACK):

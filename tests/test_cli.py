@@ -1,14 +1,17 @@
-"""End-to-end command line tests driven through subprocesses."""
+"""End-to-end command line tests, driven through subprocesses unless noted."""
 
 import csv
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import cli_env
+
+from sigarchive import cli, rank
 
 SYNTH_ARGS = ("synth", "--n-features", "24", "--n-classes", "3",
               "--samples-per-class", "20", "--overlap", "0.1",
@@ -328,6 +331,25 @@ class TestDeterminism:
         assert result.returncode == 0
         assert ((tmp_path / "predictions.csv").read_bytes()
                 == (workspace / "predictions.csv").read_bytes())
+
+    def test_rank_selection_runs_on_the_calling_thread(self, workspace, tmp_path,
+                                                       monkeypatch):
+        # In-process, so the factorizations can be watched
+        for name in ("features.csv", "labels.csv"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        threads = []
+        factorize = rank.nmf_factorize
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(rank, "nmf_factorize", recording)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(list(BUILD_ARGS) + ["--workers", "2"]) == 0
+        assert threads and set(threads) == {threading.get_ident()}
+        assert ((tmp_path / "arc.json").read_bytes()
+                == (workspace / "arc.json").read_bytes())
 
     def test_blas_thread_count_never_changes_outputs(self, tmp_path):
         # 40 x 1,000 samples: the whole-matrix residual norms are long enough

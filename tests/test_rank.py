@@ -248,11 +248,6 @@ class TestSelectRank:
         cfg = EnsembleConfig(k_min=1, k_max=3, **FAST)
         assert select_rank(x, cfg) == select_rank(x, cfg)
 
-    def test_worker_invariance(self):
-        x = fm(np.random.default_rng(4).random((6, 20)) + 0.05)
-        cfg = EnsembleConfig(k_min=1, k_max=3, **FAST)
-        assert select_rank(x, cfg, workers=1) == select_rank(x, cfg, workers=4)
-
     def test_scan_covers_range_and_rule_is_known(self):
         x = fm(np.random.default_rng(5).random((6, 20)) + 0.05)
         report = select_rank(x, EnsembleConfig(k_min=2, k_max=4, **FAST))
