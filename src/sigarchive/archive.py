@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,8 @@ from .errors import (
     SigArchiveError,
     ValidationError,
 )
-from .linalg import FactorPair, FeatureMatrix, SolverOptions, nmf_factorize
+from .linalg import (FactorPair, FeatureMatrix, _fields_equal, _readonly_array,
+                     nmf_factorize, unit_columns)
 from .rank import EnsembleConfig, RankSelectionReport, RankStats, select_rank
 from .seeding import node_seed
 
@@ -92,8 +93,7 @@ class ArchiveEntry:
     depth: int
 
     def __post_init__(self):
-        sig = np.array(self.signature, dtype=np.float64, copy=True)
-        sig.setflags(write=False)
+        sig = _readonly_array(self.signature)
         if sig.ndim != 1 or sig.size < 1:
             raise ValidationError("signature must be a nonempty 1-d vector")
         if not np.isfinite(sig).all() or (sig < 0).any():
@@ -114,15 +114,7 @@ class ArchiveEntry:
         object.__setattr__(self, "support", int(self.support))
         object.__setattr__(self, "depth", int(self.depth))
 
-    def __eq__(self, other):
-        if not isinstance(other, ArchiveEntry):
-            return NotImplemented
-        return (np.array_equal(self.signature, other.signature)
-                and self.label == other.label
-                and self.purity == other.purity
-                and self.support == other.support
-                and self.path == other.path
-                and self.depth == other.depth)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,7 @@ class SignatureArchive:
     feature_names: tuple[str, ...]
     build_config: dict
     unresolved: tuple[UnresolvedGroup, ...] = ()
-    _basis: np.ndarray = field(init=False, repr=False)
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -163,13 +155,7 @@ class SignatureArchive:
         basis.setflags(write=False)
         object.__setattr__(self, "_basis", basis)
 
-    def __eq__(self, other):
-        if not isinstance(other, SignatureArchive):
-            return NotImplemented
-        return (self.entries == other.entries
-                and self.feature_names == other.feature_names
-                and self.build_config == other.build_config
-                and self.unresolved == other.unresolved)
+    __eq__ = _fields_equal
 
     @property
     def n_features(self) -> int:
@@ -220,11 +206,7 @@ class BuildReport:
             "n_unresolved": self.n_unresolved,
             "nodes": [
                 {
-                    "path": nd.path,
-                    "depth": nd.depth,
-                    "size": nd.size,
-                    "selected_k": nd.selected_k,
-                    "selection_rule": nd.selection_rule,
+                    **vars(nd),
                     "per_k": None if nd.per_k is None else [
                         {
                             "k": s.k,
@@ -240,16 +222,7 @@ class BuildReport:
                         }
                         for s in nd.per_k
                     ],
-                    "clusters": [
-                        {
-                            "index": c.index,
-                            "size": c.size,
-                            "majority_label": c.majority_label,
-                            "purity": None if c.purity is None else float(c.purity),
-                            "outcome": c.outcome,
-                        }
-                        for c in nd.clusters
-                    ],
+                    "clusters": [asdict(c) for c in nd.clusters],
                 }
                 for nd in self.nodes
             ],
@@ -280,9 +253,8 @@ def normalize_factor_pair(pair: FactorPair) -> FactorPair:
 
     The product ``w @ h`` is unchanged; all-zero columns are left as is.
     """
-    norms = np.linalg.norm(pair.w, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return replace(pair, w=pair.w / safe, h=pair.h * safe[:, None])
+    w, divisors = unit_columns(pair.w)
+    return replace(pair, w=w, h=pair.h * divisors[:, None])
 
 
 def assign_clusters(pair: FactorPair) -> np.ndarray:
@@ -302,8 +274,6 @@ def build_archive(
     x: FeatureMatrix,
     labels: Sequence[str],
     cfg: BuildConfig,
-    *,
-    solver: SolverOptions = SolverOptions(),
 ) -> tuple[SignatureArchive, BuildReport]:
     """Build a labeled signature archive from training data.
 
@@ -347,7 +317,7 @@ def build_archive(
         if len(set(node_labels)) == 1:
             # A pure node needs no rank scan: archive its rank-1 signature.
             try:
-                pair = normalize_factor_pair(nmf_factorize(sub, 1, seed, solver))
+                pair = normalize_factor_pair(nmf_factorize(sub, 1, seed))
             except SigArchiveError:
                 return stop(REASON_DEGENERATE)
             entries.append(ArchiveEntry(pair.w[:, 0], node_labels[0], 1.0,
@@ -364,9 +334,9 @@ def build_archive(
         k_min = min(cfg.ensemble.k_min, k_max)
         ens = replace(cfg.ensemble, k_min=k_min, k_max=k_max, base_seed=seed)
         try:
-            report = select_rank(sub, ens, solver=solver)
+            report = select_rank(sub, ens)
             k = report.selected_k
-            pair = normalize_factor_pair(nmf_factorize(sub, k, seed, solver))
+            pair = normalize_factor_pair(nmf_factorize(sub, k, seed))
         except SigArchiveError:
             return stop(REASON_DEGENERATE)
 
@@ -443,14 +413,7 @@ def save_archive(archive: SignatureArchive, path) -> None:
             }
             for e in archive.entries
         ],
-        "unresolved": [
-            {
-                "path": u.path,
-                "sample_ids": list(u.sample_ids),
-                "reason": u.reason,
-            }
-            for u in archive.unresolved
-        ],
+        "unresolved": [asdict(u) for u in archive.unresolved],
     }
     docio.write_document(doc, path)
 

@@ -126,22 +126,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     archive = load_archive(args.archive)
     features = dataio.load_features_csv(args.features)
+    cfg = InferenceConfig(t=args.threshold, score_tolerance=args.score_tolerance)
     snapshot = archive.build_config.get("normalization")
     try:
         if snapshot is not None:
             params = dataio.NormalizationParams.from_snapshot(snapshot)
             features = dataio.apply_normalization(features, params)
-        if features.n_features != archive.n_features:
-            raise ValidationError(
-                f"data has {features.n_features} features, archive expects "
-                f"{archive.n_features}")
+        predictions, failures = classify_batch(features, archive, cfg)
     except ValidationError as exc:
-        # A shape disagreement between two well-formed artifacts is a
+        # A layout disagreement between two well-formed artifacts is a
         # processing failure, not a usage error.
         raise SigArchiveError(str(exc)) from exc
-
-    cfg = InferenceConfig(t=args.threshold, score_tolerance=args.score_tolerance)
-    predictions, failures = classify_batch(features, archive, cfg)
 
     label_by_path = {e.path: e.label for e in archive.entries}
     rows = [list(_PREDICTION_HEADER)]

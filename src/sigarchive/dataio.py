@@ -21,7 +21,7 @@ import numpy as np
 
 from .docio import format_float, write_atomic
 from .errors import ArchiveFormatError, DegenerateInputError, ValidationError
-from .linalg import FeatureMatrix
+from .linalg import FeatureMatrix, _fields_equal
 from .seeding import STREAM_SPLIT, STREAM_SYNTH, generator
 
 logger = logging.getLogger(__name__)
@@ -49,10 +49,7 @@ class LabeledDataset:
             raise ValidationError("labels must be nonempty strings")
         object.__setattr__(self, "labels", labels)
 
-    def __eq__(self, other):
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        return self.features == other.features and self.labels == other.labels
+    __eq__ = _fields_equal
 
     @property
     def label_set(self) -> tuple[str, ...]:
@@ -429,10 +426,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[LabeledDataset, GroundTruth]:
 
     m = c_count * spec.samples_per_class
     amplitudes = rng.uniform(0.75, 1.5, size=m)
-    values = np.empty((n, m))
     classes = np.repeat(np.arange(c_count), spec.samples_per_class)
-    for j in range(m):
-        values[:, j] = amplitudes[j] * sigs[:, classes[j]]
+    values = sigs[:, classes] * amplitudes
     if spec.noise_sigma > 0:
         values += rng.normal(0.0, spec.noise_sigma, size=(n, m))
         np.maximum(values, 0.0, out=values)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .archive import SignatureArchive
 from .errors import SigArchiveError, ValidationError
-from .linalg import FeatureMatrix, _nnls_batch, nnls_solve
+from .linalg import (FeatureMatrix, _fields_equal, _nnls_batch, _readonly_array,
+                     nnls_solve)
 
 DECISION_CLASSIFIED = "classified"
 DECISION_REJECTED = "rejected"
@@ -60,22 +61,13 @@ class Prediction:
             raise ValidationError("label must be present iff the sample was classified")
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"score {self.score!r} outside [0, 1]")
-        coeff = np.array(self.coefficients, dtype=np.float64, copy=True)
-        coeff.setflags(write=False)
+        coeff = _readonly_array(self.coefficients)
         if coeff.ndim != 1 or (coeff < 0).any():
             raise ValidationError("coefficients must form a nonnegative vector")
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "score", float(self.score))
 
-    def __eq__(self, other):
-        if not isinstance(other, Prediction):
-            return NotImplemented
-        return (self.sample_id == other.sample_id
-                and self.decision == other.decision
-                and self.label == other.label
-                and self.score == other.score
-                and self.attribution == other.attribution
-                and np.array_equal(self.coefficients, other.coefficients))
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -182,11 +174,17 @@ def classify_batch(
     goes through :func:`classify`.
     Per-sample errors (e.g. all-zero vectors) are collected as
     :class:`BatchFailure` records instead of aborting the batch.
+
+    Raises ``ValidationError`` unless ``samples`` has the archive's feature
+    count and, where it names its features, the archive's names in order.
     """
     if samples.n_features != archive.n_features:
         raise ValidationError(
             f"samples have {samples.n_features} features, archive expects "
             f"{archive.n_features}")
+    if samples.feature_names not in (None, archive.feature_names):
+        raise ValidationError("sample feature names differ from the archive's "
+                              "(names or order)")
     basis = archive.signature_matrix()
     solved = (_nnls_batch(basis, samples.values) if archive.entries
               else [None] * samples.n_samples)

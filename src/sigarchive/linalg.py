@@ -9,7 +9,7 @@ are written for dense float64 data and are deterministic given their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,19 @@ def _readonly_array(values, *, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _fields_equal(self, other):
+    """``==`` for the array-holding value types: every field with
+    ``compare=True`` equal, ndarrays compared by value."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +87,13 @@ class FeatureMatrix:
             if len(feature_names) != n:
                 raise ValidationError(
                     f"expected {n} feature names, got {len(feature_names)}")
+            if len(set(feature_names)) != n:
+                raise ValidationError("feature names must be unique")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sample_ids", sample_ids)
         object.__setattr__(self, "feature_names", feature_names)
 
-    def __eq__(self, other):
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return (np.array_equal(self.values, other.values)
-                and self.sample_ids == other.sample_ids
-                and self.feature_names == other.feature_names)
+    __eq__ = _fields_equal
 
     @property
     def n_features(self) -> int:
@@ -207,6 +217,14 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(np.square(a).ravel()))
 
 
+def unit_columns(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``w`` with each column scaled to unit norm, and the divisors used;
+    an all-zero column keeps divisor 1 and stays as it is."""
+    norms = np.linalg.norm(w, axis=0)
+    divisors = np.where(norms > 0, norms, 1.0)
+    return w / divisors, divisors
+
+
 def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     return frobenius_norm(x - w @ h)
 
@@ -274,11 +292,11 @@ def nmf_factorize(
     return FactorPair(w, h, tuple(trace), seed, sweep, stop)
 
 
-def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = _KKT_TOL) -> np.ndarray:
+def nnls_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``min_h ||a @ h - b||`` subject to ``h >= 0``.
 
     Lawson-Hanson active-set iteration.  The returned vector is exactly
-    nonnegative and satisfies the KKT conditions to within ``kkt_tol``
+    nonnegative and satisfies the KKT conditions to within ``_KKT_TOL``
     relative to ``max(|a.T @ b|)``.
 
     Parameters
@@ -295,7 +313,7 @@ def nnls_solve(a: np.ndarray, b: np.ndarray, *, kkt_tol: float = _KKT_TOL) -> np
     a, b = _nnls_inputs(a, b, 1)
     p = a.shape[1]
     grad0 = a.T @ b
-    tol = kkt_tol * float(np.abs(grad0).max())
+    tol = _KKT_TOL * float(np.abs(grad0).max())
 
     x = np.zeros(p)
     passive = np.zeros(p, dtype=bool)

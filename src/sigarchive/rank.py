@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, SigArchiveError, ValidationError
 from .linalg import (STOP_REASONS, FactorPair, FeatureMatrix, SolverOptions,
-                     frobenius_norm, nmf_factorize)
+                     frobenius_norm, nmf_factorize, unit_columns)
 from .seeding import STREAM_PERTURB, generator
 
 logger = logging.getLogger(__name__)
@@ -108,12 +108,6 @@ def perturb(x: FeatureMatrix, epsilon: float, seed: int) -> FeatureMatrix:
     return FeatureMatrix(x.values * (1.0 + epsilon * u), x.sample_ids, x.feature_names)
 
 
-def _unit_columns(w: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(w, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return w / safe
-
-
 def cluster_ensemble_signatures(signature_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Group ensemble signature columns into k clusters by greedy matching.
 
@@ -132,7 +126,7 @@ def cluster_ensemble_signatures(signature_sets: Sequence[np.ndarray]) -> tuple[n
     for s in members:
         if s.shape != (n, k):
             raise ValidationError("signature sets must share one shape")
-    units = np.stack([_unit_columns(s) for s in members])
+    units = np.stack([unit_columns(s)[0] for s in members])
 
     picks = np.tile(np.arange(k), (len(units), 1))  # picks[i, c]: member i's column in cluster c
     for i in range(1, len(units)):

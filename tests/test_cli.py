@@ -11,7 +11,8 @@ import pytest
 
 from conftest import cli_env
 
-from sigarchive import cli, rank
+from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, load_csv, rank,
+                        save_archive)
 
 SYNTH_ARGS = ("synth", "--n-features", "24", "--n-classes", "3",
               "--samples-per-class", "20", "--overlap", "0.1",
@@ -24,6 +25,14 @@ BUILD_ARGS = ("build", "--features", "features.csv", "--labels", "labels.csv",
 def run(args, cwd, **env):
     return subprocess.run([sys.executable, "-m", "sigarchive.cli", *map(str, args)],
                           capture_output=True, text=True, cwd=cwd, env={**cli_env(), **env})
+
+
+def small_synth(root):
+    """12 features x 90 samples over three classes, rows f0..f11."""
+    result = run(("synth", "--n-features", "12", "--n-classes", "3",
+                  "--samples-per-class", "30", "--seed", "3"), root)
+    assert result.returncode == 0, result.stderr
+    return (root / "features.csv").read_text().splitlines()
 
 
 def read_rows(path):
@@ -89,6 +98,20 @@ class TestBuild:
                       "--archive", tmp_path / "a.json"), tmp_path)
         assert result.returncode == 2
         assert "disagree" in result.stderr
+
+    def test_duplicate_feature_names_exit_2(self, tmp_path):
+        header, *rows = small_synth(tmp_path)
+        # rename row f1 to f0 and zero the first f0 row: normalization
+        # drops features by name, so it must never see two rows named f0
+        rows[0] = ",".join(["f0"] + ["0.0"] * (len(header.split(",")) - 1))
+        rows[1] = "f0" + rows[1][len("f1"):]
+        (tmp_path / "features.csv").write_text("\n".join([header, *rows]) + "\n")
+        result = run(("build", "--features", "features.csv", "--labels", "labels.csv",
+                      "--archive", "a.json"), tmp_path)
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "feature names" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "a.json").exists()
 
     def test_degenerate_build_exits_1_without_partial_files(self, tmp_path):
         # one shared rank-1 signature split across two labels can never
@@ -177,6 +200,23 @@ class TestClassify:
                       "--output", tmp_path / "p.csv"), tmp_path)
         assert result.returncode == 1
 
+
+    def test_reordered_feature_rows_exit_1(self, tmp_path):
+        # An archive saved from a library build has no normalization block,
+        # so only classify's own name check can catch the reordered rows.
+        header, *rows = small_synth(tmp_path)
+        data = load_csv(tmp_path / "features.csv", tmp_path / "labels.csv")
+        archive, _ = build_archive(data.features, data.labels, BuildConfig(
+            EnsembleConfig(k_min=1, k_max=3, n_perturbations=4)))
+        save_archive(archive, tmp_path / "lib.json")
+        (tmp_path / "reversed.csv").write_text("\n".join([header, *rows[::-1]]) + "\n")
+        args = ("classify", "--archive", "lib.json", "--threshold", "0.9", "--features")
+        assert run(args + ("features.csv", "--output", "p.csv"), tmp_path).returncode == 0
+        result = run(args + ("reversed.csv", "--output", "q.csv"), tmp_path)
+        assert result.returncode == 1
+        assert "error:" in result.stderr and "feature names" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "q.csv").exists()
 
 @pytest.mark.parametrize("case", [
     "features-utf8", "predictions-utf8", "archive-utf8", "long-csv-field",

@@ -174,6 +174,14 @@ class TestClassifyBatch:
         with pytest.raises(ValidationError):
             classify_batch(fm(np.ones((5, 2))), axis_archive)
 
+    def test_feature_name_order_mismatch_rejected(self, axis_archive, mixtures):
+        names = axis_archive.feature_names
+        reordered = FeatureMatrix(mixtures.values, mixtures.sample_ids, names[::-1])
+        with pytest.raises(ValidationError, match="feature names"):
+            classify_batch(reordered, axis_archive)
+        named = FeatureMatrix(mixtures.values, mixtures.sample_ids, names)
+        assert classify_batch(named, axis_archive) == classify_batch(mixtures, axis_archive)
+
     def test_unseen_family_rejected_known_families_recovered(self):
         data, truth = generate_synthetic(SynthSpec(
             n_features=30, n_classes=4, samples_per_class=50,

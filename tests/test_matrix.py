@@ -55,6 +55,10 @@ class TestFeatureMatrix:
         with pytest.raises(ValidationError):
             FeatureMatrix(np.ones((1, 2)), ("a", "a"))
 
+    def test_duplicate_feature_names_rejected(self):
+        with pytest.raises(ValidationError, match="feature names must be unique"):
+            FeatureMatrix(np.ones((2, 1)), ("a",), feature_names=("f0", "f0"))
+
     def test_id_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             FeatureMatrix(np.ones((1, 2)), ("a",))
