@@ -2,9 +2,11 @@
 
 Four subcommands wire the pipeline end to end.  Exit codes are stable:
 0 success, 1 runtime or numeric failure, 2 usage or validation failure.
-All randomness flows from ``--seed``.  ``build --workers`` is accepted as a
-parallelism bound that rank selection, running on one thread, always meets;
-it never changes any output byte.
+Input CSV tables need a header row, one cell per column, unique first-column
+ids and the same ids in paired files; the first bad row or cell is named
+(exit 2).  All randomness flows from ``--seed``.  ``build --workers`` is
+accepted as a parallelism bound that rank selection, running on one thread,
+always meets; it never changes any output byte.
 """
 
 from __future__ import annotations
@@ -157,27 +159,23 @@ _NOVEL_VALUES = {"0": False, "false": False, "1": True, "true": True}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pred_rows = dataio.read_table(args.predictions, _PREDICTION_HEADER)
-    if not pred_rows:
+    preds = dataio.read_table(args.predictions, _PREDICTION_HEADER)
+    if not preds:
         raise ValidationError(f"{args.predictions}: no prediction rows")
-    truth_rows = dataio.read_table(args.truth, _TRUTH_HEADER)
+    truth = dataio.read_table(args.truth, _TRUTH_HEADER)
+    dataio.same_ids(preds, truth, args.predictions, args.truth)
 
-    truth: dict[str, tuple[str, bool]] = {}
-    for lineno, (sid, label, novel_text) in enumerate(truth_rows, start=2):
-        if sid in truth:
-            raise ValidationError(
-                f"{args.truth}: duplicate sample id {sid!r} at row {lineno}")
+    truth_of: dict[str, tuple[str, bool]] = {}
+    for sid, (lineno, (_, label, novel_text)) in truth.items():
         flag = _NOVEL_VALUES.get(novel_text.strip().lower())
         if flag is None:
             raise ValidationError(
                 f"{args.truth}: row {lineno}: novel must be 0/1/true/false, "
                 f"got {novel_text!r}")
-        truth[sid] = (label, flag)
+        truth_of[sid] = (label, flag)
 
-    decisions, predicted, scores, truth_labels, novel_flags = [], [], [], [], []
-    seen_ids = set()
-    for lineno, (sid, decision, label, score_text, _attribution) in enumerate(
-            pred_rows, start=2):
+    decisions, predicted, scores = [], [], []
+    for lineno, (_, decision, label, score_text, _attribution) in preds.values():
         if decision not in (DECISION_CLASSIFIED, DECISION_REJECTED):
             raise ValidationError(
                 f"{args.predictions}: row {lineno}: unknown decision {decision!r}")
@@ -191,27 +189,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"{args.predictions}: row {lineno}: score is not a number: "
                 f"{score_text!r}") from None
-        if sid not in truth:
-            raise ValidationError(
-                f"sample ids disagree between {args.predictions} and {args.truth}: "
-                f"no truth row for {sid!r}")
-        if sid in seen_ids:
-            raise ValidationError(
-                f"{args.predictions}: duplicate sample id {sid!r} at row {lineno}")
-        seen_ids.add(sid)
         decisions.append(decision)
         predicted.append(label)
         scores.append(score)
-        truth_labels.append(truth[sid][0])
-        novel_flags.append(truth[sid][1])
-    unmatched = [sid for sid in truth if sid not in seen_ids]
-    if unmatched:
-        raise ValidationError(
-            f"sample ids disagree between {args.predictions} and {args.truth}: "
-            f"{len(unmatched)} truth row(s) without predictions "
-            f"(first: {unmatched[0]!r})")
 
-    report = evaluate_predictions(decisions, predicted, scores, truth_labels, novel_flags)
+    report = evaluate_predictions(decisions, predicted, scores,
+                                  [truth_of[sid][0] for sid in preds],
+                                  [truth_of[sid][1] for sid in preds])
     docio.write_document(report.to_document(), args.report)
     curve_path = args.curve if args.curve else _sibling_path(args.report, ".curve.csv")
     dataio.write_rows(curve_path, [list(_CURVE_HEADER)] + [

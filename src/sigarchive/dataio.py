@@ -62,91 +62,103 @@ class LabeledDataset:
                               tuple(self.labels[i] for i in idx))
 
 
-def _read_rows(path) -> list[list[str]]:
+def _rows(path):
+    """Yield ``(row number, cells)`` for each row of a UTF-8 CSV file, lazily.
+
+    Every row after the first must have as many cells as the first.
+    """
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"file not found: {p}")
     try:
         with open(p, newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh)]
+            width = None
+            for lineno, cells in enumerate(csv.reader(fh), start=1):
+                if width not in (None, len(cells)):
+                    raise ValidationError(
+                        f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
+                width = len(cells)
+                yield lineno, cells
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{p}: not a readable UTF-8 CSV file: {exc}") from exc
 
 
-def _body(path, rows: list[list[str]], width: int) -> list[list[str]]:
-    """Rows after the header, each required to have ``width`` cells."""
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {width}")
-    return rows[1:]
-
-
-def read_table(path, header: tuple[str, ...]) -> list[list[str]]:
-    """Body rows of a CSV file whose first row must equal ``header``.
-
-    Every body row must have exactly one cell per header column.
-    """
-    rows = _read_rows(path)
-    if not rows or tuple(rows[0]) != header:
-        got = ",".join(rows[0]) if rows else ""
+def read_table(path, header: tuple[str, ...]) -> dict[str, tuple[int, list[str]]]:
+    """Body rows of a CSV file whose first row must equal ``header``, keyed
+    by their first cell (which no two rows may share), with row numbers."""
+    rows = _rows(path)
+    _, first = next(rows, (1, []))
+    if tuple(first) != header:
         raise ValidationError(
-            f"{path}: expected header {','.join(header)!r}, got {got!r}")
-    return _body(path, rows, len(header))
+            f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}")
+    table: dict[str, tuple[int, list[str]]] = {}
+    for lineno, cells in rows:
+        if cells[0] in table:
+            raise ValidationError(
+                f"{path}: duplicate sample id {cells[0]!r} at row {lineno}")
+        table[cells[0]] = (lineno, cells)
+    return table
+
+
+def same_ids(first: dict, second: dict, first_path, second_path) -> None:
+    """Require two tables, keyed by sample id, to hold the same ids in any order."""
+    only_first = [s for s in first if s not in second]
+    only_second = [s for s in second if s not in first]
+    if only_first or only_second:
+        raise ValidationError(
+            f"sample ids disagree between {first_path} and {second_path}: "
+            f"{len(only_first)} only in the first, {len(only_second)} only in the "
+            f"second (first offenders: {(only_first + only_second)[:3]})")
+
+
+def _feature_row(path, name: str, cells: list[str], sample_ids) -> np.ndarray:
+    """One feature row as floats; a bad row has its first bad cell named."""
+    try:
+        row = np.array(cells, dtype=np.float64)
+        if ((row >= 0) & (row < np.inf)).all():
+            return row
+    except ValueError:
+        pass
+    for sid, cell in zip(sample_ids, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: cell (feature {name!r}, sample {sid!r}) "
+                f"is not a number: {cell!r}") from None
+        if not 0 <= value < math.inf:
+            raise ValidationError(
+                f"{path}: cell (feature {name!r}, sample {sid!r}) "
+                f"must be finite and >= 0, got {cell!r}")
+    # numpy parses each string as float() does, so this is not reached
+    return np.array([float(cell) for cell in cells])
 
 
 def load_features_csv(path) -> FeatureMatrix:
-    """Read a feature table: header row of sample ids, feature rows below."""
-    rows = _read_rows(path)
-    if not rows or len(rows[0]) < 2:
+    """Read a feature table: header row of sample ids, feature rows below,
+    each feature row converted to floats as it is read."""
+    rows = _rows(path)
+    _, header = next(rows, (1, []))
+    if len(header) < 2:
         raise ValidationError(f"{path}: expected a header row with at least one sample id")
-    if len(rows) < 2:
+    sample_ids = tuple(header[1:])
+    body = [(name, _feature_row(path, name, cells, sample_ids)) for _, (name, *cells) in rows]
+    if not body:
         raise ValidationError(f"{path}: no feature rows found")
-    body = _body(path, rows, len(rows[0]))
-    sample_ids = tuple(rows[0][1:])
-    try:
-        return FeatureMatrix(np.array([row[1:] for row in body], dtype=np.float64),
-                             sample_ids, tuple(row[0] for row in body))
-    except ValueError:
-        # name the first bad cell in file order; if none is bad, the error
-        # is about something else (e.g. duplicate sample ids) and stands
-        for row in body:
-            for sid, cell in zip(sample_ids, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: cell (feature {row[0]!r}, sample {sid!r}) "
-                        f"is not a number: {cell!r}") from None
-                if not math.isfinite(value) or value < 0:
-                    raise ValidationError(
-                        f"{path}: cell (feature {row[0]!r}, sample {sid!r}) "
-                        f"must be finite and >= 0, got {cell!r}") from None
-        raise
+    names, values = zip(*body)
+    return FeatureMatrix(values, sample_ids, names)
 
 
 def load_labels_csv(path) -> dict[str, str]:
     """Read a ``sample_id,label`` table into an ordered mapping."""
-    mapping: dict[str, str] = {}
-    for lineno, (sid, label) in enumerate(read_table(path, _LABEL_HEADER), start=2):
-        if sid in mapping:
-            raise ValidationError(f"{path}: duplicate sample id {sid!r} at row {lineno}")
-        mapping[sid] = label
-    return mapping
+    return {sid: label for sid, (_, (_, label)) in read_table(path, _LABEL_HEADER).items()}
 
 
 def load_csv(features_path, labels_path) -> LabeledDataset:
     """Load a dataset, requiring the two files to cover identical sample ids."""
     features = load_features_csv(features_path)
     labels = load_labels_csv(labels_path)
-    missing = [s for s in features.sample_ids if s not in labels]
-    known = set(features.sample_ids)
-    extra = [s for s in labels if s not in known]
-    if missing or extra:
-        raise ValidationError(
-            f"sample ids disagree between {features_path} and {labels_path}: "
-            f"{len(missing)} unlabeled, {len(extra)} without features "
-            f"(first offenders: {(missing + extra)[:3]})")
+    same_ids(dict.fromkeys(features.sample_ids), labels, features_path, labels_path)
     return LabeledDataset(features, tuple(labels[s] for s in features.sample_ids))
 
 
@@ -363,6 +375,8 @@ class GroundTruth:
     mixing: np.ndarray
     class_labels: tuple[str, ...]
     holdout_class: str | None
+
+    __eq__ = _fields_equal
 
     def to_document(self) -> dict:
         return {

@@ -9,6 +9,7 @@ novel class that the archive could never have named.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,10 +49,6 @@ def _checked(name: str, values: Sequence, length: int | None = None) -> list:
     return items
 
 
-def _errors(predicted, truth, novel) -> np.ndarray:
-    return np.array([bool(nv) or p != t for p, t, nv in zip(predicted, truth, novel)])
-
-
 def risk_coverage_curve(
     scores: Sequence[float],
     predicted_labels: Sequence[str],
@@ -67,27 +64,27 @@ def risk_coverage_curve(
     samples always count as errors.  Points come back in ascending coverage
     order.
     """
-    score_list = [float(s) for s in _checked("scores", scores)]
-    m = len(score_list)
+    score_arr = np.array([float(s) for s in _checked("scores", scores)])
+    m = len(score_arr)
     predicted = _checked("predicted_labels", predicted_labels, m)
     truth = _checked("truth_labels", truth_labels, m)
     novel = _checked("novel_flags", novel_flags, m)
-    if not all(map(math.isfinite, score_list)):
+    if not np.isfinite(score_arr).all():
         raise ValidationError("scores must be finite")
 
-    score_arr = np.array(score_list)
-    error_arr = _errors(predicted, truth, novel)
-    distinct = sorted(set(score_list), reverse=True)
-    thresholds = [distinct[0] + 1.0, *distinct, distinct[-1] - 1.0]
-
-    points = []
-    for threshold in thresholds:
-        covered = score_arr >= threshold
-        count = int(covered.sum())
-        coverage = count / m
-        risk = float(error_arr[covered].sum() / count) if count else 0.0
-        points.append(RiskCoveragePoint(threshold, coverage, risk))
-    return tuple(points)
+    order = np.argsort(-score_arr, kind="stable")
+    ranked = score_arr[order]
+    wrong = np.cumsum(np.array([bool(nv) or p != t for p, t, nv
+                                in zip(predicted, truth, novel)])[order])
+    # one point per run of tied scores; like set(), a run keeps its first
+    # value, so a 0.0 / -0.0 tie takes the sign of whichever comes first
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tops = ranked[np.append(0, last[:-1] + 1)].tolist()
+    thresholds = [tops[0] + 1.0, *tops, tops[-1] - 1.0]
+    counts = [0, *(last + 1).tolist(), m]
+    errors = [0, *wrong[last].tolist(), int(wrong[-1])]
+    return tuple(RiskCoveragePoint(t, c / m, e / c if c else 0.0)
+                 for t, c, e in zip(thresholds, counts, errors))
 
 
 def aurc(curve: Sequence[RiskCoveragePoint]) -> float:
@@ -163,16 +160,16 @@ def classification_metrics(
     if not covered:
         return ClassMetrics(0, None, None, None, ())
 
-    classes = sorted({truth[i] for i in covered if not novel[i]})
+    truth_counts = Counter(truth[i] for i in covered if not novel[i])
+    pred_counts = Counter(predicted[i] for i in covered)
+    hits = Counter(truth[i] for i in covered if not novel[i] and predicted[i] == truth[i])
     scores = []
-    for cls in classes:
-        truth_idx = [i for i in covered if not novel[i] and truth[i] == cls]
-        pred_idx = [i for i in covered if predicted[i] == cls]
-        tp = sum(1 for i in truth_idx if predicted[i] == cls)
-        precision = tp / len(pred_idx) if pred_idx else 0.0
-        recall = tp / len(truth_idx)
+    for cls in sorted(truth_counts):
+        tp, n_pred = hits[cls], pred_counts[cls]
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / truth_counts[cls]
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        scores.append(ClassScore(cls, precision, recall, f1, len(truth_idx), len(pred_idx)))
+        scores.append(ClassScore(cls, precision, recall, f1, truth_counts[cls], n_pred))
 
     if not scores:
         return ClassMetrics(len(covered), None, None, None, ())

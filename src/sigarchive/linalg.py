@@ -202,6 +202,8 @@ class FactorPair:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "sweeps", int(self.sweeps))
 
+    __eq__ = _fields_equal
+
     @property
     def rank(self) -> int:
         return self.w.shape[1]

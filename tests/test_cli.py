@@ -314,6 +314,23 @@ class TestEvaluate:
         result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
                       "--report", "rep.json"), tmp_path)
         assert result.returncode == 2
+        assert "disagree" in result.stderr
+
+    def test_repeated_prediction_id_exits_2(self, tmp_path):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        with open(tmp_path / "p.csv", "a") as fh:
+            fh.write("b,classified,y,0.5,root/k2/c1\n")
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "rep.json"), tmp_path)
+        assert result.returncode == 2
+        assert "duplicate sample id 'b' at row 5" in result.stderr
+
+    def test_repeated_truth_id_exits_2(self, tmp_path):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\na,x,0\nb,y,0\nc,z,1\n")
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "rep.json"), tmp_path)
+        assert result.returncode == 2
+        assert "duplicate sample id 'a' at row 3" in result.stderr
 
     def test_unknown_decision_value_exits_2(self, tmp_path):
         (tmp_path / "p.csv").write_text(

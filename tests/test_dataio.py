@@ -73,6 +73,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match="row 2"):
             load_features_csv(tmp_path / "f.csv")
 
+    def test_bad_cell_above_a_ragged_row_is_named(self, tmp_path):
+        # rows are checked in file order, so the first bad row wins
+        (tmp_path / "f.csv").write_text("feature,a,b\nf0,1,x\nf1,1\n")
+        with pytest.raises(ValidationError, match=r"feature 'f0', sample 'b'"):
+            load_features_csv(tmp_path / "f.csv")
+
     def test_missing_feature_rows_rejected(self, tmp_path):
         (tmp_path / "f.csv").write_text("feature,a,b\n")
         with pytest.raises(ValidationError, match="no feature rows"):

@@ -70,6 +70,22 @@ class TestRiskCoverageCurve:
                 assert point.coverage == float(cov)
                 assert point.risk == float(risk)
 
+    def test_signed_zero_tie_keeps_the_first_sign(self):
+        # set() keeps the first of two equal values, so the threshold of a
+        # 0.0 / -0.0 tie has the sign of whichever score comes first
+        thresholds = [[repr(p.threshold) for p in curve_for(scores, [True] * 3)]
+                      for scores in ([0.5, -0.0, 0.0], [0.5, 0.0, -0.0], [-0.0, 0.5, 0.0])]
+        assert thresholds == [["1.5", "0.5", "-0.0", "-1.0"],
+                              ["1.5", "0.5", "0.0", "-1.0"],
+                              ["1.5", "0.5", "-0.0", "-1.0"]]
+
+    def test_thresholds_are_the_distinct_scores_in_first_seen_form(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            scores = [rng.choice([0.0, -0.0, 0.25, 0.5]) for _ in range(rng.randint(1, 8))]
+            inner = [p.threshold for p in curve_for(scores, [True] * len(scores))[1:-1]]
+            assert list(map(repr, inner)) == list(map(repr, sorted(set(scores), reverse=True)))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             risk_coverage_curve([0.9, 0.8], ["a"], ["a", "b"], [False, False])

@@ -1,6 +1,7 @@
 """Loaders on arbitrary and generated input, and atomic output writes."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,6 +155,22 @@ def test_bad_cell_in_a_later_row_is_named(scratch, n, m, data):
     message = str(info.value)
     assert f"(feature 'f{row}', sample 's{col}')" in message
     assert kind in message and repr(cell) in message
+
+
+def test_feature_table_is_read_in_bounded_memory(tmp_path):
+    # 200 x 2000 cells: holding every cell as a string at once would need
+    # about ten times the float64 matrix
+    values = np.random.default_rng(0).uniform(0.0, 1.0, (200, 2000))
+    path = _write_table(tmp_path / "features.csv",
+                        [[repr(v) for v in row] for row in values.tolist()])
+    tracemalloc.start()
+    try:
+        loaded = load_features_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == values.tobytes()
+    assert peak < 6 * values.nbytes, peak / values.nbytes
 
 
 def test_duplicate_sample_ids_keep_their_own_message(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 
 from sigarchive import (
     ArchiveEntry,
+    FactorPair,
     FeatureMatrix,
+    GroundTruth,
     LabeledDataset,
     Prediction,
     SignatureArchive,
@@ -35,6 +37,8 @@ ARCHIVE = SignatureArchive((ENTRY, OTHER_ENTRY), ("f0", "f1", "f2"), {"seed": 0}
                            (UnresolvedGroup("root", ("s9",), "reason"),))
 PREDICTION = Prediction("s0", "classified", "a", 0.9, "root/k2/c0", np.array([0.5, 0.0]))
 DATASET = LabeledDataset(MATRIX, ("a", "b"))
+PAIR = FactorPair(np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 2.0]]), (3.0, 1.0), 0, 4)
+TRUTH = GroundTruth(np.eye(3)[:, :2], np.array([[1.0, 0.0], [0.0, 2.0]]), ("a", "b"), None)
 
 # Per value type: one instance, and changes that each alter one compared field
 # (a decision cannot change without its label).
@@ -51,6 +55,10 @@ CASES = [
                   {"coefficients": bumped(PREDICTION.coefficients)}]),
     (DATASET, [{"features": replace(MATRIX, values=bumped(MATRIX.values))},
                {"labels": ("a", "a")}]),
+    (PAIR, [{"w": bumped(PAIR.w)}, {"h": bumped(PAIR.h)}, {"objective_trace": (3.0, 0.5)},
+            {"seed": 1}, {"sweeps": 5}, {"stop": "capped"}]),
+    (TRUTH, [{"signatures": bumped(TRUTH.signatures)}, {"mixing": bumped(TRUTH.mixing)},
+             {"class_labels": ("a", "c")}, {"holdout_class": "b"}]),
 ]
 
 
