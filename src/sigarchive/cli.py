@@ -4,9 +4,9 @@ Four subcommands wire the pipeline end to end.  Exit codes are stable:
 0 success, 1 runtime or numeric failure, 2 usage or validation failure.
 Input CSV tables need a header row, one cell per column, unique first-column
 ids and the same ids in paired files; the first bad row or cell is named
-(exit 2).  All randomness flows from ``--seed``.  ``build --workers`` is
-accepted as a parallelism bound that rank selection, running on one thread,
-always meets; it never changes any output byte.
+(exit 2).  All randomness flows from ``--seed``.  ``build --workers N`` runs
+rank selection's ensemble members in ``min(N, usable CPUs, first-scan jobs)``
+processes (on the calling thread if 1); it never changes any output byte.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     report_path = args.report if args.report else _sibling_path(args.archive, ".report.json")
     attempted: list[Path] = []
     try:
-        archive, report = build_archive(normalized.features, normalized.labels, cfg)
+        archive, report = build_archive(normalized.features, normalized.labels, cfg,
+                                        workers=args.workers)
         # The scaling fitted at build time travels inside the archive so
         # cmd_classify can apply the identical transform to new samples.
         archive = replace(archive, build_config={**archive.build_config,
@@ -254,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalization", default=dataio.MODE_PER_FEATURE_MAX,
                    choices=[dataio.MODE_PER_FEATURE_MAX, dataio.MODE_NONE])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="accepted parallelism bound; rank selection runs on one "
-                        "thread, so outputs are identical for any value")
+    p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
+                   help="processes for the rank-selection ensemble, at most min(N, "
+                        "usable CPUs, first-scan jobs); 1 runs it on the calling "
+                        "thread; outputs are identical for any value")
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("classify", help="classify samples against an archive")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .archive import SignatureArchive
 from .errors import SigArchiveError, ValidationError
-from .linalg import (FeatureMatrix, _fields_equal, _nnls_batch, _readonly_array,
-                     nnls_solve)
+from .linalg import (FeatureMatrix, _fields_equal, _fields_reduce, _nnls_batch,
+                     _readonly_array, nnls_solve)
 
 DECISION_CLASSIFIED = "classified"
 DECISION_REJECTED = "rejected"
@@ -68,6 +68,7 @@ class Prediction:
         object.__setattr__(self, "score", float(self.score))
 
     __eq__ = _fields_equal
+    __reduce__ = _fields_reduce
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ def _fields_equal(self, other):
     return True
 
 
+def _fields_reduce(self):
+    """Pickle through the constructor, so that copies get read-only arrays too."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Nonnegative observation matrix with features as rows, samples as columns.
@@ -94,6 +99,7 @@ class FeatureMatrix:
         object.__setattr__(self, "feature_names", feature_names)
 
     __eq__ = _fields_equal
+    __reduce__ = _fields_reduce
 
     @property
     def n_features(self) -> int:
@@ -203,6 +209,7 @@ class FactorPair:
         object.__setattr__(self, "sweeps", int(self.sweeps))
 
     __eq__ = _fields_equal
+    __reduce__ = _fields_reduce
 
     @property
     def rank(self) -> int:

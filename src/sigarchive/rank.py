@@ -13,7 +13,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -193,11 +194,20 @@ def ensemble_stability(clusters: Sequence[np.ndarray]) -> tuple[float, float]:
     return float(cluster_min.min()), float(pooled.mean())
 
 
+def _member(job: tuple[FeatureMatrix, int, int, SolverOptions]) -> FactorPair | SigArchiveError:
+    """One ensemble member's ``FactorPair``, or its ``SigArchiveError`` as a value."""
+    try:
+        return nmf_factorize(*job)
+    except SigArchiveError as exc:
+        return exc
+
+
 def select_rank(
     x: FeatureMatrix,
     cfg: EnsembleConfig,
     *,
     solver: SolverOptions = SolverOptions(),
+    mapper: Callable = map,
 ) -> RankSelectionReport:
     """Scan ``[cfg.k_min, cfg.k_max]`` and pick the largest stable rank.
 
@@ -206,6 +216,10 @@ def select_rank(
     convention).  If no rank qualifies the best-silhouette rank is returned
     with the fallback rule flagged; a single-candidate scan is flagged as
     forced.
+
+    ``mapper(_member, jobs)`` runs the (k, member) factorizations and yields
+    their results in job order: ``map`` on the calling thread, or a process
+    pool's ``imap``.  The report does not depend on which.
     """
     n, m = x.values.shape
     if cfg.k_max > min(n, m):
@@ -215,15 +229,14 @@ def select_rank(
     perturbed = [perturb(x, cfg.noise_epsilon, cfg.base_seed + i)
                  for i in range(cfg.n_perturbations)]
     norms = [frobenius_norm(p.values) for p in perturbed]
+    ranks = range(cfg.k_min, cfg.k_max + 1)
+    results = mapper(_member, [(p, k, cfg.base_seed + i, solver)
+                               for k in ranks for i, p in enumerate(perturbed)])
 
     stats: list[RankStats] = []
-    for k in range(cfg.k_min, cfg.k_max + 1):
-        pairs: list[tuple[int, FactorPair]] = []
-        for i in range(cfg.n_perturbations):
-            try:
-                pairs.append((i, nmf_factorize(perturbed[i], k, cfg.base_seed + i, solver)))
-            except SigArchiveError:
-                pass
+    for k in ranks:
+        pairs = [(i, fp) for i, fp in enumerate(islice(results, cfg.n_perturbations))
+                 if isinstance(fp, FactorPair)]
         failed = cfg.n_perturbations - len(pairs)
         if len(pairs) < 2:
             raise DegenerateInputError(

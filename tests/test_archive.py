@@ -1,5 +1,9 @@
 """Hierarchical archive construction, persistence, and supporting helpers."""
 
+import multiprocessing
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from sigarchive.archive import (
     normalize_factor_pair,
     uniformity,
 )
+from sigarchive import rank
 from sigarchive.dataio import SynthSpec, generate_synthetic
 from sigarchive.linalg import FactorPair
 
@@ -224,6 +229,73 @@ class TestBuildArchive:
             assert list(members) == ["converged", "capped", "uphill", "failed"]
             assert members["converged"] == stats.members_converged
             assert sum(members.values()) == 8  # n_perturbations
+
+
+class TestBuildWorkers:
+    """``build_archive(workers=N)`` runs ensemble members in one process pool."""
+
+    DATA, _ = generate_synthetic(SynthSpec(n_features=12, n_classes=3,
+                                           samples_per_class=20, seed=5))
+    CFG = BuildConfig(ensemble=EnsembleConfig(k_min=1, k_max=3, n_perturbations=4),
+                      min_cluster_size=5)   # root scan: 3 ranks x 4 members
+
+    def build(self, workers):
+        return build_archive(self.DATA.features, self.DATA.labels, self.CFG,
+                             workers=workers)
+
+    def test_pool_size_is_bounded_by_cpus_and_jobs(self, monkeypatch):
+        # A stand-in pool that runs jobs in-process, so no process is started
+        made = []
+
+        class Pool:
+            def __init__(self, processes, **kwargs):
+                made.append(processes)
+
+            imap = staticmethod(map)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            {"fork": SimpleNamespace(Pool=Pool)}.__getitem__)
+        serial = self.build(1)
+        for cpus, workers, pool in ((3, 100_000, [3]), (64, 100_000, [12]),
+                                    (64, 2, [2]), (1, 8, []), (64, 1, [])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            made.clear()
+            assert self.build(workers) == serial
+            assert made == pool, (cpus, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_member_errors_propagate_with_their_type(self, workers, monkeypatch):
+        def failing(*args):
+            raise ArithmeticError("not a SigArchiveError")
+
+        monkeypatch.setattr(rank, "nmf_factorize", failing)
+        with pytest.raises(ArithmeticError, match="not a SigArchiveError"):
+            self.build(workers)
+        assert not multiprocessing.active_children()
+
+    def test_no_worker_outlives_the_build(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert self.build(2) == self.build(1)
+        assert not multiprocessing.active_children()
+
+        x = fm(np.outer([1.0, 2.0, 0.5], np.linspace(1.0, 2.0, 30)))
+        with pytest.raises(DegenerateBuildError):
+            build_archive(x, ["A", "B"] * 15, self.CFG, workers=2)
+        assert not multiprocessing.active_children()
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rank, "cluster_ensemble_signatures", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.build(2)
+        assert not multiprocessing.active_children()
 
 
 class TestArchiveTypes:

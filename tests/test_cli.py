@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -11,8 +13,10 @@ import pytest
 
 from conftest import cli_env
 
-from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, load_csv, rank,
-                        save_archive)
+from sigarchive import (BuildConfig, EnsembleConfig, SigArchiveError, build_archive, cli,
+                        load_csv, rank, save_archive)
+from sigarchive.archive import ROOT_PATH
+from sigarchive.seeding import node_seed
 
 SYNTH_ARGS = ("synth", "--n-features", "24", "--n-classes", "3",
               "--samples-per-class", "20", "--overlap", "0.1",
@@ -389,24 +393,85 @@ class TestDeterminism:
         assert ((tmp_path / "predictions.csv").read_bytes()
                 == (workspace / "predictions.csv").read_bytes())
 
-    def test_rank_selection_runs_on_the_calling_thread(self, workspace, tmp_path,
-                                                       monkeypatch):
-        # In-process, so the factorizations can be watched
+    def watched_build(self, workspace, root, workers, monkeypatch, factorize):
+        """Build the workspace's inputs in-process in ``root``, with
+        ``rank.nmf_factorize`` replaced by ``factorize`` (inherited by the
+        forked pool workers) and two usable CPUs."""
+        root.mkdir()
         for name in ("features.csv", "labels.csv"):
-            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+            (root / name).write_bytes((workspace / name).read_bytes())
+        monkeypatch.setattr(rank, "nmf_factorize", factorize)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.chdir(root)
+        assert cli.main(list(BUILD_ARGS) + ["--workers", str(workers)]) == 0
+        assert not multiprocessing.active_children()
+
+    def test_workers_1_runs_every_member_on_the_calling_thread(self, workspace, tmp_path,
+                                                               monkeypatch):
         threads = []
         factorize = rank.nmf_factorize
 
-        def recording(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return factorize(*args, **kwargs)
+        def recording(*args):
+            threads.append((os.getpid(), threading.get_ident()))
+            return factorize(*args)
 
-        monkeypatch.setattr(rank, "nmf_factorize", recording)
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(list(BUILD_ARGS) + ["--workers", "2"]) == 0
-        assert threads and set(threads) == {threading.get_ident()}
-        assert ((tmp_path / "arc.json").read_bytes()
-                == (workspace / "arc.json").read_bytes())
+        self.watched_build(workspace, tmp_path / "w1", 1, monkeypatch, recording)
+        assert threads and set(threads) == {(os.getpid(), threading.get_ident())}
+        for name in ("arc.json", "arc.report.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (workspace / name).read_bytes()
+
+    def test_workers_2_runs_members_in_other_processes(self, workspace, tmp_path,
+                                                       monkeypatch):
+        pids = tmp_path / "pids.txt"
+        factorize = rank.nmf_factorize
+
+        def recording(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return factorize(*args)
+
+        self.watched_build(workspace, tmp_path / "w2", 2, monkeypatch, recording)
+        seen = set(pids.read_text().split())
+        assert seen and str(os.getpid()) not in seen
+        for name in ("arc.json", "arc.report.json"):
+            assert (tmp_path / "w2" / name).read_bytes() == (workspace / name).read_bytes()
+
+    def test_member_failures_count_the_same_at_any_worker_count(self, workspace, tmp_path,
+                                                               monkeypatch):
+        failing_seed = node_seed(0, ROOT_PATH) + 2   # --seed 0; member 2 of the root
+        factorize = rank.nmf_factorize
+
+        def failing(x, k, seed, *rest):
+            if seed == failing_seed:
+                raise SigArchiveError("injected member failure")
+            return factorize(x, k, seed, *rest)
+
+        for workers in (1, 2):
+            self.watched_build(workspace, tmp_path / str(workers), workers, monkeypatch,
+                               failing)
+        root = json.loads((tmp_path / "1" / "arc.report.json").read_text())["nodes"][0]
+        assert [s["members"]["failed"] for s in root["per_k"]] == [1, 1, 1, 1]
+        for name in ("arc.json", "arc.report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_pool_forked_under_live_blas_threads_writes_the_serial_bytes(self, tmp_path):
+        # the acceptance spec, 40 x 1,000; with two usable CPUs the build
+        # forks its pool after OpenBLAS has started its second thread
+        steps = (
+            ("synth", "--n-classes", "4", "--samples-per-class", "250", "--seed", "7"),
+            ("build", "--features", "features.csv", "--labels", "labels.csv",
+             "--archive", "arc.json", "--k-max", "6", "--n-perturbations", "10"),
+        )
+        for threads, workers in (("1", "1"), ("2", "2")):
+            root = tmp_path / workers
+            root.mkdir()
+            for args in steps:
+                if args[0] == "build":
+                    args += ("--workers", workers)
+                result = run(args, root, OPENBLAS_NUM_THREADS=threads)
+                assert result.returncode == 0, result.stderr
+        for name in ("features.csv", "labels.csv", "arc.json", "arc.report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_blas_thread_count_never_changes_outputs(self, tmp_path):
         # 40 x 1,000 samples: the whole-matrix residual norms are long enough

@@ -1,7 +1,8 @@
-"""Equality of the array-holding value types, derived from their fields."""
+"""Equality and pickling of the array-holding value types, derived from their fields."""
 
 import copy
-from dataclasses import fields, replace
+import pickle
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -78,3 +79,22 @@ def test_equality_follows_the_compared_fields(value, changes):
     assert value.__eq__(object()) is NotImplemented and value != object()
     with pytest.raises(TypeError):
         hash(value)
+
+
+def arrays(value):
+    """Every ndarray that ``value`` holds, through nested value types and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in arrays(v)]
+    if is_dataclass(value):
+        return [a for f in fields(value) for a in arrays(getattr(value, f.name))]
+    return []
+
+
+@pytest.mark.parametrize("value", [v for v, _ in CASES], ids=[type(v).__name__ for v, _ in CASES])
+def test_pickle_round_trip_keeps_the_value_and_read_only_arrays(value):
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value
+    writeable = [a.flags.writeable for a in arrays(value)]
+    assert writeable and [a.flags.writeable for a in arrays(back)] == writeable
