@@ -7,6 +7,12 @@ ids and the same ids in paired files; the first bad row or cell is named
 (exit 2).  All randomness flows from ``--seed``.  ``build --workers N`` runs
 rank selection's ensemble members in ``min(N, usable CPUs, first-scan jobs)``
 processes (on the calling thread if 1); it never changes any output byte.
+
+Each subcommand imports only what it runs, so ``evaluate`` never loads numpy.
+The numpy-backed stages ``build_archive``, ``load_archive``, ``save_archive``
+and ``classify_batch`` are module attributes imported on first access.
+Handlers look every stage, ``evaluate_predictions`` too, up on this module
+when they call it, so a wrapper bound to the attribute sees every call.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from . import dataio, docio
-from .archive import BuildConfig, build_archive, load_archive, save_archive
+from . import _lazy_getattr, docio
+from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import ArchiveFormatError, SigArchiveError, ValidationError
 from .evaluation import evaluate_predictions
-from .inference import DECISION_CLASSIFIED, DECISION_REJECTED, InferenceConfig, classify_batch
-from .rank import EnsembleConfig
+
+__getattr__ = _lazy_getattr(globals(), {
+    "build_archive": "archive", "load_archive": "archive", "save_archive": "archive",
+    "classify_batch": "inference"})
+_stages = sys.modules[__name__]
 
 _PREDICTION_HEADER = ("sample_id", "decision", "label", "score", "attribution")
 _TRUTH_HEADER = ("sample_id", "label", "novel")
@@ -64,6 +73,8 @@ def _sibling_path(path, suffix: str) -> Path:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import dataio
+
     if args.n_features < args.n_classes:
         raise ValidationError(
             "--n-features must be >= --n-classes so every class gets its own features")
@@ -87,6 +98,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from . import dataio
+    from .archive import BuildConfig
+    from .rank import EnsembleConfig
+
     dataset = dataio.load_csv(args.features, args.labels)
     normalized, params = dataio.normalize(dataset, args.normalization)
     cfg = BuildConfig(
@@ -106,14 +121,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     report_path = args.report if args.report else _sibling_path(args.archive, ".report.json")
     attempted: list[Path] = []
     try:
-        archive, report = build_archive(normalized.features, normalized.labels, cfg,
-                                        workers=args.workers)
+        archive, report = _stages.build_archive(normalized.features, normalized.labels, cfg,
+                                                workers=args.workers)
         # The scaling fitted at build time travels inside the archive so
         # cmd_classify can apply the identical transform to new samples.
         archive = replace(archive, build_config={**archive.build_config,
                                                  "normalization": params.to_snapshot()})
         attempted.append(Path(args.archive))
-        save_archive(archive, args.archive)
+        _stages.save_archive(archive, args.archive)
         attempted.append(Path(report_path))
         docio.write_document(report.to_document(), report_path)
     except BaseException:
@@ -127,7 +142,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    archive = load_archive(args.archive)
+    from . import dataio
+    from .inference import InferenceConfig
+
+    archive = _stages.load_archive(args.archive)
     features = dataio.load_features_csv(args.features)
     cfg = InferenceConfig(t=args.threshold, score_tolerance=args.score_tolerance)
     snapshot = archive.build_config.get("normalization")
@@ -135,7 +153,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if snapshot is not None:
             params = dataio.NormalizationParams.from_snapshot(snapshot)
             features = dataio.apply_normalization(features, params)
-        predictions, failures = classify_batch(features, archive, cfg)
+        predictions, failures = _stages.classify_batch(features, archive, cfg)
     except ValidationError as exc:
         # A layout disagreement between two well-formed artifacts is a
         # processing failure, not a usage error.
@@ -146,7 +164,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for p in predictions:
         rows.append([p.sample_id, p.decision, label_by_path[p.attribution],
                      docio.format_float(p.score), p.attribution])
-    dataio.write_rows(args.output, rows)
+    docio.write_rows(args.output, rows)
 
     for f in failures:
         print(f"error: sample {f.sample_id!r}: {f.message}", file=sys.stderr)
@@ -160,11 +178,11 @@ _NOVEL_VALUES = {"0": False, "false": False, "1": True, "true": True}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    preds = dataio.read_table(args.predictions, _PREDICTION_HEADER)
+    preds = docio.read_table(args.predictions, _PREDICTION_HEADER)
     if not preds:
         raise ValidationError(f"{args.predictions}: no prediction rows")
-    truth = dataio.read_table(args.truth, _TRUTH_HEADER)
-    dataio.same_ids(preds, truth, args.predictions, args.truth)
+    truth = docio.read_table(args.truth, _TRUTH_HEADER)
+    docio.same_ids(preds, truth, args.predictions, args.truth)
 
     truth_of: dict[str, tuple[str, bool]] = {}
     for sid, (lineno, (_, label, novel_text)) in truth.items():
@@ -199,7 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                   [truth_of[sid][1] for sid in preds])
     docio.write_document(report.to_document(), args.report)
     curve_path = args.curve if args.curve else _sibling_path(args.report, ".curve.csv")
-    dataio.write_rows(curve_path, [list(_CURVE_HEADER)] + [
+    docio.write_rows(curve_path, [list(_CURVE_HEADER)] + [
         [docio.format_float(p.threshold), docio.format_float(p.coverage),
          docio.format_float(p.risk)]
         for p in report.rc_curve
@@ -252,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--purity-threshold", type=float, default=1.0)
     p.add_argument("--min-cluster-size", type=_positive_int, default=10)
     p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--normalization", default=dataio.MODE_PER_FEATURE_MAX,
-                   choices=[dataio.MODE_PER_FEATURE_MAX, dataio.MODE_NONE])
+    p.add_argument("--normalization", default=docio.MODE_PER_FEATURE_MAX,
+                   choices=[docio.MODE_PER_FEATURE_MAX, docio.MODE_NONE])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                    help="processes for the rank-selection ensemble, at most min(N, "

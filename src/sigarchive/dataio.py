@@ -9,25 +9,20 @@ canonical file is byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .docio import format_float, write_atomic
+from .docio import (MODE_NONE, MODE_PER_FEATURE_MAX, _rows, format_float, read_table,
+                    same_ids, write_rows)
 from .errors import ArchiveFormatError, DegenerateInputError, ValidationError
 from .linalg import FeatureMatrix, _fields_equal
 from .seeding import STREAM_SPLIT, STREAM_SYNTH, generator
 
 logger = logging.getLogger(__name__)
-
-MODE_PER_FEATURE_MAX = "per_feature_max"
-MODE_NONE = "none"
 
 _FEATURE_CORNER = "feature"
 _LABEL_HEADER = ("sample_id", "label")
@@ -60,55 +55,6 @@ class LabeledDataset:
         idx = list(indices)
         return LabeledDataset(self.features.select_samples(idx),
                               tuple(self.labels[i] for i in idx))
-
-
-def _rows(path):
-    """Yield ``(row number, cells)`` for each row of a UTF-8 CSV file, lazily.
-
-    Every row after the first must have as many cells as the first.
-    """
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"file not found: {p}")
-    try:
-        with open(p, newline="", encoding="utf-8") as fh:
-            width = None
-            for lineno, cells in enumerate(csv.reader(fh), start=1):
-                if width not in (None, len(cells)):
-                    raise ValidationError(
-                        f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
-                width = len(cells)
-                yield lineno, cells
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"{p}: not a readable UTF-8 CSV file: {exc}") from exc
-
-
-def read_table(path, header: tuple[str, ...]) -> dict[str, tuple[int, list[str]]]:
-    """Body rows of a CSV file whose first row must equal ``header``, keyed
-    by their first cell (which no two rows may share), with row numbers."""
-    rows = _rows(path)
-    _, first = next(rows, (1, []))
-    if tuple(first) != header:
-        raise ValidationError(
-            f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}")
-    table: dict[str, tuple[int, list[str]]] = {}
-    for lineno, cells in rows:
-        if cells[0] in table:
-            raise ValidationError(
-                f"{path}: duplicate sample id {cells[0]!r} at row {lineno}")
-        table[cells[0]] = (lineno, cells)
-    return table
-
-
-def same_ids(first: dict, second: dict, first_path, second_path) -> None:
-    """Require two tables, keyed by sample id, to hold the same ids in any order."""
-    only_first = [s for s in first if s not in second]
-    only_second = [s for s in second if s not in first]
-    if only_first or only_second:
-        raise ValidationError(
-            f"sample ids disagree between {first_path} and {second_path}: "
-            f"{len(only_first)} only in the first, {len(only_second)} only in the "
-            f"second (first offenders: {(only_first + only_second)[:3]})")
 
 
 def _feature_row(path, name: str, cells: list[str], sample_ids) -> np.ndarray:
@@ -160,13 +106,6 @@ def load_csv(features_path, labels_path) -> LabeledDataset:
     labels = load_labels_csv(labels_path)
     same_ids(dict.fromkeys(features.sample_ids), labels, features_path, labels_path)
     return LabeledDataset(features, tuple(labels[s] for s in features.sample_ids))
-
-
-def write_rows(path, rows) -> None:
-    """Write ``rows`` as CSV with newline-terminated lines."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    write_atomic(path, buf.getvalue())
 
 
 def save_features_csv(features: FeatureMatrix, path) -> None:

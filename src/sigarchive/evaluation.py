@@ -13,10 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import ValidationError
-from .inference import DECISION_CLASSIFIED, DECISION_REJECTED
 
 SCHEMA_VERSION = 1
 
@@ -64,25 +62,31 @@ def risk_coverage_curve(
     samples always count as errors.  Points come back in ascending coverage
     order.
     """
-    score_arr = np.array([float(s) for s in _checked("scores", scores)])
-    m = len(score_arr)
+    scores = [float(s) for s in _checked("scores", scores)]
+    m = len(scores)
     predicted = _checked("predicted_labels", predicted_labels, m)
     truth = _checked("truth_labels", truth_labels, m)
     novel = _checked("novel_flags", novel_flags, m)
-    if not np.isfinite(score_arr).all():
+    if not all(map(math.isfinite, scores)):
         raise ValidationError("scores must be finite")
 
-    order = np.argsort(-score_arr, kind="stable")
-    ranked = score_arr[order]
-    wrong = np.cumsum(np.array([bool(nv) or p != t for p, t, nv
-                                in zip(predicted, truth, novel)])[order])
-    # one point per run of tied scores; like set(), a run keeps its first
-    # value, so a 0.0 / -0.0 tie takes the sign of whichever comes first
-    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
-    tops = ranked[np.append(0, last[:-1] + 1)].tolist()
+    wrong = [bool(nv) or p != t for p, t, nv in zip(predicted, truth, novel)]
+    order = sorted(range(m), key=scores.__getitem__, reverse=True)  # stable
+    # one point per run of tied scores; a run's first sample records the
+    # counts that close the run before it, so counts[j + 1] closes tops[j].
+    # Like set(), a run keeps its first value, so a 0.0 / -0.0 tie takes the
+    # sign of whichever comes first
+    tops, counts, errors = [], [], []
+    n_wrong = 0
+    for covered, i in enumerate(order):
+        if not tops or scores[i] != tops[-1]:
+            tops.append(scores[i])
+            counts.append(covered)
+            errors.append(n_wrong)
+        n_wrong += wrong[i]
     thresholds = [tops[0] + 1.0, *tops, tops[-1] - 1.0]
-    counts = [0, *(last + 1).tolist(), m]
-    errors = [0, *wrong[last].tolist(), int(wrong[-1])]
+    counts += [m, m]
+    errors += [n_wrong, n_wrong]
     return tuple(RiskCoveragePoint(t, c / m, e / c if c else 0.0)
                  for t, c, e in zip(thresholds, counts, errors))
 
@@ -175,11 +179,15 @@ def classification_metrics(
         return ClassMetrics(len(covered), None, None, None, ())
     return ClassMetrics(
         covered_count=len(covered),
-        macro_precision=float(np.mean([s.precision for s in scores])),
-        macro_recall=float(np.mean([s.recall for s in scores])),
-        macro_f1=float(np.mean([s.f1 for s in scores])),
+        macro_precision=_mean([s.precision for s in scores]),
+        macro_recall=_mean([s.recall for s in scores]),
+        macro_f1=_mean([s.f1 for s in scores]),
         per_class=tuple(scores),
     )
+
+
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values)
 
 
 @dataclass(frozen=True)

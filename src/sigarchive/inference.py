@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import SignatureArchive
+from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import SigArchiveError, ValidationError
 from .linalg import (FeatureMatrix, _fields_equal, _fields_reduce, _nnls_batch,
                      _readonly_array, nnls_solve)
-
-DECISION_CLASSIFIED = "classified"
-DECISION_REJECTED = "rejected"
 
 
 @dataclass(frozen=True)

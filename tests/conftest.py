@@ -14,7 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sigarchive import ArchiveEntry, FeatureMatrix, SignatureArchive, SolverOptions
+from sigarchive import (ArchiveEntry, FeatureMatrix, RiskCoveragePoint, SignatureArchive,
+                        SolverOptions)
 from sigarchive import linalg
 from sigarchive.seeding import STREAM_NMF_INIT, generator
 
@@ -152,3 +153,24 @@ def aurc_bruteforce(scores, correct) -> Fraction:
     cl, rl = pts[-1]
     total += (1 - cl) * rl
     return total
+
+
+def risk_coverage_curve_numpy(scores, predicted, truth, novel):
+    """The numpy risk-coverage sweep that the pure-Python one replaced.
+
+    A stable argsort of the negated scores, a cumulative error count, and one
+    point per run of tied scores that keeps the run's first value.
+    """
+    score_arr = np.array([float(s) for s in scores])
+    m = len(score_arr)
+    order = np.argsort(-score_arr, kind="stable")
+    ranked = score_arr[order]
+    wrong = np.cumsum(np.array([bool(nv) or p != t for p, t, nv
+                                in zip(predicted, truth, novel)])[order])
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tops = ranked[np.append(0, last[:-1] + 1)].tolist()
+    thresholds = [tops[0] + 1.0, *tops, tops[-1] - 1.0]
+    counts = [0, *(last + 1).tolist(), m]
+    errors = [0, *wrong[last].tolist(), int(wrong[-1])]
+    return tuple(RiskCoveragePoint(t, c / m, e / c if c else 0.0)
+                 for t, c, e in zip(thresholds, counts, errors))

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import aurc_bruteforce, rc_points_exact
+from conftest import aurc_bruteforce, rc_points_exact, risk_coverage_curve_numpy
 from sigarchive import (
     EvalReport,
     RiskCoveragePoint,
@@ -103,6 +104,25 @@ class TestRiskCoverageCurve:
             RiskCoveragePoint(0.5, 1.5, 0.0)
         with pytest.raises(ValidationError):
             RiskCoveragePoint(0.5, 0.0, 0.3)  # uncovered curve has no risk
+
+
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, -1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestAgainstNumpyReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_SCORES, st.sampled_from("ab"), st.sampled_from("ab"),
+                              st.booleans()), min_size=1, max_size=40))
+    @example([(0.5, "a", "a", False)])
+    @example([(0.0, "a", "b", False), (-0.0, "a", "a", True), (0.0, "b", "b", False)])
+    @example([(-0.0, "a", "a", False), (0.0, "a", "b", False)])
+    def test_points_and_threshold_bits_match(self, samples):
+        columns = [list(c) for c in zip(*samples)]
+        curve = risk_coverage_curve(*columns)
+        reference = risk_coverage_curve_numpy(*columns)
+        assert curve == reference
+        assert [repr(p.threshold) for p in curve] == [repr(p.threshold) for p in reference]
 
 
 class TestAurc:

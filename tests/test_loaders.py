@@ -196,3 +196,28 @@ def test_failed_replace_leaves_previous_file_intact(tmp_path, monkeypatch, write
         write(path)
     assert path.read_bytes() == b"previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def _format_float_by_generator(value):
+    """``docio.format_float`` as it was, testing each of ".eE" in turn."""
+    text = format(float(value), ".17g")
+    if not any(c in text for c in ".eE"):
+        text += ".0"
+    return text
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal double
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(value=st.one_of(
+    st.integers(min_value=-2 ** 63, max_value=2 ** 63),
+    st.integers(min_value=-2 ** 53, max_value=2 ** 53).map(float),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+    st.floats(min_value=-_TINY, max_value=_TINY, allow_subnormal=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+))
+def test_format_float_writes_the_bytes_it_wrote_before(value):
+    assert docio.format_float(value).encode() == _format_float_by_generator(value).encode()

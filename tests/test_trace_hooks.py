@@ -39,3 +39,36 @@ def test_feature_table_describer_reads_a_loaded_table(tmp_path):
     describe = load_spans()._describers()["load_features_csv"]
     table = load_features_csv(path)
     assert describe((path,), {}, table) == {"cells": 6}
+
+
+CLI_STAGES = ("build_archive", "load_archive", "save_archive", "classify_batch",
+              "evaluate_predictions")
+
+
+def test_cli_calls_each_traced_stage_through_its_module_attribute(tmp_path, monkeypatch):
+    # spans.py wraps these attributes of sigarchive.cli; a handler that
+    # reached a stage by another name would run it without its span
+    assert {attr for module, attr in load_spans().TRACED
+            if module == "cli" and attr != "main"} == set(CLI_STAGES)
+    cli = importlib.import_module("sigarchive.cli")
+    calls = dict.fromkeys(CLI_STAGES, 0)
+    for name in CLI_STAGES:
+        def counting(*args, _stage=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    monkeypatch.chdir(tmp_path)
+
+    assert cli.main(["synth", "--n-features", "12", "--n-classes", "3",
+                     "--samples-per-class", "10", "--seed", "3"]) == 0
+    assert cli.main(["build", "--features", "features.csv", "--labels", "labels.csv",
+                     "--archive", "arc.json", "--k-max", "3", "--n-perturbations", "4",
+                     "--min-cluster-size", "5"]) == 0
+    assert cli.main(["classify", "--archive", "arc.json", "--features", "features.csv",
+                     "--output", "predictions.csv"]) == 0
+    labels = (tmp_path / "labels.csv").read_text().splitlines()[1:]
+    (tmp_path / "truth.csv").write_text(
+        "sample_id,label,novel\n" + "".join(f"{row},0\n" for row in labels))
+    assert cli.main(["evaluate", "--predictions", "predictions.csv", "--truth", "truth.csv",
+                     "--report", "report.json"]) == 0
+    assert calls == dict.fromkeys(CLI_STAGES, 1)
