@@ -11,8 +11,9 @@ processes (on the calling thread if 1); it never changes any output byte.
 Each subcommand imports only what it runs, so ``evaluate`` never loads numpy.
 The numpy-backed stages ``build_archive``, ``load_archive``, ``save_archive``
 and ``classify_batch`` are module attributes imported on first access.
-Handlers look every stage, ``evaluate_predictions`` too, up on this module
-when they call it, so a wrapper bound to the attribute sees every call.
+Handlers look every stage up in ``globals()`` when they call it, so a wrapper
+bound to the attribute sees every call, also where no module object holds
+them (``runpy`` with ``run_name="__main__"``, as in ``python -m cProfile``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from .evaluation import evaluate_predictions
 __getattr__ = _lazy_getattr(globals(), {
     "build_archive": "archive", "load_archive": "archive", "save_archive": "archive",
     "classify_batch": "inference"})
-_stages = sys.modules[__name__]
+
+
+def _stage(name: str):
+    """The value bound to ``name`` in this namespace, imported on first use."""
+    return globals().get(name) or __getattr__(name)
+
 
 _PREDICTION_HEADER = ("sample_id", "decision", "label", "score", "attribution")
 _TRUTH_HEADER = ("sample_id", "label", "novel")
@@ -121,14 +127,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     report_path = args.report if args.report else _sibling_path(args.archive, ".report.json")
     attempted: list[Path] = []
     try:
-        archive, report = _stages.build_archive(normalized.features, normalized.labels, cfg,
-                                                workers=args.workers)
+        archive, report = _stage("build_archive")(normalized.features, normalized.labels,
+                                                  cfg, workers=args.workers)
         # The scaling fitted at build time travels inside the archive so
         # cmd_classify can apply the identical transform to new samples.
         archive = replace(archive, build_config={**archive.build_config,
                                                  "normalization": params.to_snapshot()})
         attempted.append(Path(args.archive))
-        _stages.save_archive(archive, args.archive)
+        _stage("save_archive")(archive, args.archive)
         attempted.append(Path(report_path))
         docio.write_document(report.to_document(), report_path)
     except BaseException:
@@ -145,7 +151,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from . import dataio
     from .inference import InferenceConfig
 
-    archive = _stages.load_archive(args.archive)
+    archive = _stage("load_archive")(args.archive)
     features = dataio.load_features_csv(args.features)
     cfg = InferenceConfig(t=args.threshold, score_tolerance=args.score_tolerance)
     snapshot = archive.build_config.get("normalization")
@@ -153,7 +159,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if snapshot is not None:
             params = dataio.NormalizationParams.from_snapshot(snapshot)
             features = dataio.apply_normalization(features, params)
-        predictions, failures = _stages.classify_batch(features, archive, cfg)
+        predictions, failures = _stage("classify_batch")(features, archive, cfg)
     except ValidationError as exc:
         # A layout disagreement between two well-formed artifacts is a
         # processing failure, not a usage error.

@@ -4,9 +4,11 @@ import csv
 import json
 import multiprocessing
 import os
+import runpy
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -472,6 +474,25 @@ class TestDeterminism:
                 assert result.returncode == 0, result.stderr
         for name in ("features.csv", "labels.csv", "arc.json", "arc.report.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+    def test_runpy_as_main_writes_the_bytes_of_python_m(self, workspace, tmp_path,
+                                                        monkeypatch):
+        # ``python -m cProfile -m sigarchive.cli`` runs the module this way,
+        # with the profiler's own module left as sys.modules["__main__"]
+        for name in ("features.csv", "labels.csv"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        for args in (BUILD_ARGS, ("classify", "--archive", "arc.json", "--features",
+                                  "features.csv", "--output", "predictions.csv",
+                                  "--threshold", "0.95")):
+            monkeypatch.setattr(sys, "argv", ["sigarchive", *args])
+            with warnings.catch_warnings(), pytest.raises(SystemExit) as stop:
+                # this session imported sigarchive.cli already, which runpy warns of
+                warnings.simplefilter("ignore", RuntimeWarning)
+                runpy.run_module("sigarchive.cli", run_name="__main__")
+            assert stop.value.code == 0
+        for name in ("arc.json", "arc.report.json", "predictions.csv"):
+            assert (tmp_path / name).read_bytes() == (workspace / name).read_bytes(), name
 
     def test_blas_thread_count_never_changes_outputs(self, tmp_path):
         # 40 x 1,000 samples: the whole-matrix residual norms are long enough

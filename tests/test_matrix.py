@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import fm, nmf_every_sweep, nnls_exhaustive
 from sigarchive import (
@@ -151,15 +151,20 @@ class TestNmfEvaluatedSweeps:
         # TRACE_TOLERANCE, so the uphill guard fires too
         opts = SolverOptions(tol=data.draw(st.sampled_from([1e-6, 1e-300])),
                              max_iter=max_iter, check_every=ce)
-        x = fm(np.random.default_rng(seed).random((n, m))
-               * data.draw(st.sampled_from([1.0, 1e9])))
+        rng = np.random.default_rng(seed)
+        values = rng.random((n, m)) * data.draw(st.sampled_from([1.0, 1e9]))
+        # -0.0 passes FeatureMatrix's sign check; the reference clamps it away
+        values[rng.random((n, m)) < data.draw(st.sampled_from([0.0, 0.5, 0.9]))] = -0.0
+        assume(values.any())
+        x = fm(np.asarray(values, order=data.draw(st.sampled_from("CF"))))
         ref = nmf_every_sweep(x, k, seed, opts)
         got = nmf_factorize(x, k, seed, opts)
         assert got.objective_trace[-1] == linalg._frobenius(x.values, got.w, got.h)
         if ref.stop == "uphill" and ce > 2:
             # the guard fired between two evaluated sweeps: it is not seen there
             return
-        assert np.array_equal(got.w, ref.w) and np.array_equal(got.h, ref.h)
+        # bytes, not np.array_equal, which ignores the sign of zero
+        assert got.w.tobytes() == ref.w.tobytes() and got.h.tobytes() == ref.h.tobytes()
         assert got.objective_trace == tuple(
             ref.trace[i] for i in evaluated(len(ref.trace), opts))
         assert (got.sweeps, got.stop) == (ref.sweeps, ref.stop)
@@ -225,6 +230,18 @@ class TestFrobeniusNorm:
     def test_memory_layout_does_not_change_the_sum(self):
         a = np.random.default_rng(2).random((37, 211))
         assert frobenius_norm(np.asfortranarray(a)) == frobenius_norm(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_residual_has_the_bits_of_the_plain_expression(self, data):
+        n, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 200))
+        k = data.draw(st.integers(1, min(n, m, 16)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        scale = data.draw(st.sampled_from([1.0, 1e9]))
+        x = np.asarray(rng.random((n, m)) * scale, order=data.draw(st.sampled_from("CF")))
+        w, h = rng.random((n, k)) * scale, rng.random((k, m))
+        got = linalg._frobenius(x, w, h)
+        assert got.hex() == frobenius_norm(x - w @ h).hex()
 
 
 class TestFactorPair:
