@@ -4,8 +4,9 @@ A sample is projected onto the full set of archived signatures by
 nonnegative least squares; the cosine similarity between the sample and its
 reconstruction is the confidence score.  Samples scoring below the decision
 threshold are rejected as unrecognized rather than forced into a class.
-A batch finds its projections together, with the same bits as one
-:func:`~sigarchive.linalg.nnls_solve` per sample.
+One sample and a batch go through the same NNLS kernel and the same
+row-wise sums, so a sample's score has the same bits alone as in any batch,
+whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ import numpy as np
 from .archive import SignatureArchive
 from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import SigArchiveError, ValidationError
-from .linalg import (FeatureMatrix, _fields_equal, _fields_reduce, _nnls_batch,
-                     _readonly_array, nnls_solve)
+from .linalg import (NNLS_STEP_LIMIT, FeatureMatrix, _combine, _fields_equal,
+                     _fields_reduce, _nnls_rows, _readonly_array, _rowdot, nnls_solve)
+
+_BLOCK = 1024   # samples per kernel call in classify_batch: bounds memory, moves no bit
+_NO_ENTRIES = "archive has no entries to project onto"
+_ZERO_SAMPLE = "cannot score an all-zero sample"
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,6 @@ class BatchFailure:
 
 
 def _check_sample(sample, n: int) -> np.ndarray:
-    # fresh contiguous buffer: strided views of the same numbers must not
-    # reach BLAS through different kernels and round differently
     vec = np.array(sample, dtype=np.float64)
     if vec.shape != (n,):
         raise ValidationError(
@@ -100,11 +103,23 @@ def project(sample, archive: SignatureArchive) -> tuple[np.ndarray, np.ndarray]:
     in the least-squares sense.
     """
     if not archive.entries:
-        raise ValidationError("archive has no entries to project onto")
+        raise ValidationError(_NO_ENTRIES)
     vec = _check_sample(sample, archive.n_features)
     basis = archive.signature_matrix()
     coefficients = nnls_solve(basis, vec)
-    return coefficients, basis @ coefficients
+    return coefficients, _combine(coefficients[None], basis)[0]
+
+
+def _cosines(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Cosine of each row of ``s`` with the same row of ``r``, clipped to
+    [0, 1]: 0 where ``r`` is zero, NaN where ``s`` is zero.  Every row's
+    bits depend on that row alone."""
+    s_norm, r_norm = np.sqrt(_rowdot(s, s)), np.sqrt(_rowdot(r, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.clip(_rowdot(s, r) / (s_norm * r_norm), 0.0, 1.0)
+    value[r_norm == 0] = 0.0
+    value[s_norm == 0] = np.nan
+    return value
 
 
 def score(sample, reconstruction) -> float:
@@ -117,14 +132,10 @@ def score(sample, reconstruction) -> float:
     r = np.array(reconstruction, dtype=np.float64)
     if s.shape != r.shape:
         raise ValidationError(f"shape mismatch: {s.shape} vs {r.shape}")
-    s_norm = float(np.linalg.norm(s))
-    r_norm = float(np.linalg.norm(r))
-    if s_norm == 0.0:
-        raise ValidationError("cannot score an all-zero sample")
-    if r_norm == 0.0:
-        return 0.0
-    value = float(s @ r) / (s_norm * r_norm)
-    return min(max(value, 0.0), 1.0)
+    value = float(_cosines(s.reshape(1, -1), r.reshape(1, -1))[0])
+    if math.isnan(value):
+        raise ValidationError(_ZERO_SAMPLE)
+    return value
 
 
 def classify(
@@ -140,23 +151,42 @@ def classify(
     its label is the label of the attributed signature.  Decisions are
     invariant under positive rescaling of the sample.
     """
-    coefficients, reconstruction = project(sample, archive)
-    return _decide(sample, coefficients, reconstruction, archive, cfg, sample_id)
+    outcome, = _classify_rows((sample_id,), _check_sample(sample, archive.n_features)[None],
+                              archive, cfg)
+    if isinstance(outcome, SigArchiveError):
+        raise outcome
+    return outcome
 
 
-def _decide(sample, coefficients: np.ndarray, reconstruction: np.ndarray,
-            archive: SignatureArchive, cfg: InferenceConfig, sample_id: str) -> Prediction:
-    value = score(sample, reconstruction)
-    attributed = int(np.argmax(coefficients))
-    accepted = value >= cfg.t - cfg.score_tolerance
-    return Prediction(
-        sample_id=sample_id,
-        decision=DECISION_CLASSIFIED if accepted else DECISION_REJECTED,
-        label=archive.entries[attributed].label if accepted else None,
-        score=value,
-        attribution=archive.entries[attributed].path,
-        coefficients=coefficients,
-    )
+def _classify_rows(sample_ids, rows: np.ndarray, archive: SignatureArchive,
+                   cfg: InferenceConfig) -> list[Prediction | SigArchiveError]:
+    """The decision for each sample row of the (m, n) ``rows``: a
+    :class:`Prediction`, or the error that the sample fails with."""
+    if not archive.entries:
+        return [ValidationError(_NO_ENTRIES) for _ in sample_ids]
+    basis = archive.signature_matrix()
+    x, stopped = _nnls_rows(basis, rows)
+    scores = _cosines(rows, _combine(x, basis))
+    accepted = scores >= cfg.t - cfg.score_tolerance
+    outcomes = []
+    for sample_id, ok, value, accept, attributed, coefficients in zip(
+            sample_ids, stopped, scores.tolist(), accepted.tolist(),
+            np.argmax(x, axis=1).tolist(), x):
+        if not ok:
+            outcomes.append(SigArchiveError(NNLS_STEP_LIMIT))
+        elif math.isnan(value):
+            outcomes.append(ValidationError(_ZERO_SAMPLE))
+        else:
+            entry = archive.entries[attributed]
+            outcomes.append(Prediction(
+                sample_id=sample_id,
+                decision=DECISION_CLASSIFIED if accept else DECISION_REJECTED,
+                label=entry.label if accept else None,
+                score=value,
+                attribution=entry.path,
+                coefficients=coefficients,
+            ))
+    return outcomes
 
 
 def classify_batch(
@@ -165,13 +195,11 @@ def classify_batch(
     cfg: InferenceConfig = InferenceConfig(),
 ) -> tuple[list[Prediction], list[BatchFailure]]:
     """Classify every column of ``samples`` in order, as :func:`classify`
-    would, one column at a time.
+    would, one column at a time, with the same bits.
 
-    The projections are found for the whole batch at once: the passive sets
-    in one batched search, then each sample by the exact call ``nnls_solve``
-    ends on.  A sample whose set is not certified, such as an all-zero one,
-    goes through :func:`classify`.
-    Per-sample errors (e.g. all-zero vectors) are collected as
+    The samples go ``_BLOCK`` at a time through the decision path that
+    :func:`classify` runs on one.  Per-sample errors (an all-zero sample, a
+    solve past the step limit, an empty archive) are collected as
     :class:`BatchFailure` records instead of aborting the batch.
 
     Raises ``ValidationError`` unless ``samples`` has the archive's feature
@@ -184,17 +212,14 @@ def classify_batch(
     if samples.feature_names not in (None, archive.feature_names):
         raise ValidationError("sample feature names differ from the archive's "
                               "(names or order)")
-    basis = archive.signature_matrix()
-    solved = (_nnls_batch(basis, samples.values) if archive.entries
-              else [None] * samples.n_samples)
+    ids = samples.sample_ids
     predictions, failures = [], []
-    for j, (sample_id, coefficients) in enumerate(zip(samples.sample_ids, solved)):
-        sample = samples.values[:, j]
-        try:
-            predictions.append(
-                classify(sample, archive, cfg, sample_id=sample_id) if coefficients is None
-                else _decide(sample, coefficients, basis @ coefficients, archive, cfg,
-                             sample_id))
-        except SigArchiveError as exc:
-            failures.append(BatchFailure(j, sample_id, str(exc)))
+    for start in range(0, samples.n_samples, _BLOCK):
+        rows = samples.values[:, start:start + _BLOCK].T
+        outcomes = _classify_rows(ids[start:start + _BLOCK], rows, archive, cfg)
+        for j, outcome in enumerate(outcomes, start):
+            if isinstance(outcome, Prediction):
+                predictions.append(outcome)
+            else:
+                failures.append(BatchFailure(j, ids[j], str(outcome)))
     return predictions, failures

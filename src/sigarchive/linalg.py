@@ -1,9 +1,9 @@
 """Nonnegative matrix factorization and nonnegative least squares.
 
 Implements the two numeric workhorses of the package: Frobenius-norm NMF via
-multiplicative updates, and an active-set NNLS solver (:func:`nnls_solve`),
-with a batched form that returns its bits for many targets at once.  All
-are written for dense float64 data and are deterministic given their inputs.
+multiplicative updates, and an active-set NNLS solver that solves one target
+(:func:`nnls_solve`) or many at once, each with the same bits.  All are
+written for dense float64 data and are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .seeding import STREAM_NMF_INIT, generator
 TRACE_TOLERANCE = 1e-12  # absolute slack for float round-off in objective traces
 _UPDATE_EPS = 1e-12      # denominator guard in multiplicative updates
 _KKT_TOL = 1e-8          # NNLS stopping tolerance, relative to max |a.T @ b|
+NNLS_STEP_LIMIT = "nnls failed to converge within the step limit"
 
 STOP_CONVERGED = "converged"
 STOP_CAPPED = "capped"
@@ -315,226 +316,126 @@ def nmf_factorize(
     return FactorPair(w, h, tuple(trace), seed, sweep, stop)
 
 
-def nnls_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``min_h ||a @ h - b||`` subject to ``h >= 0``.
-
-    Lawson-Hanson active-set iteration.  The returned vector is exactly
-    nonnegative and satisfies the KKT conditions to within ``_KKT_TOL``
-    relative to ``max(|a.T @ b|)``.
-
-    Parameters
-    ----------
-    a : ndarray of shape (n, p)
-        Dense matrix; every column must have nonzero norm.
-    b : ndarray of shape (n,)
-        Target vector (entries may be negative).
-
-    Returns
-    -------
-    ndarray of shape (p,)
-    """
-    a, b = _nnls_inputs(a, b, 1)
-    p = a.shape[1]
-    grad0 = a.T @ b
-    tol = _KKT_TOL * float(np.abs(grad0).max())
-
-    x = np.zeros(p)
-    passive = np.zeros(p, dtype=bool)
-    max_steps = max(3 * p, 30)
-    for _ in range(max_steps):
-        w = a.T @ (b - a @ x)
-        w_free = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_free))
-        if passive.all() or w_free[j] <= tol:
-            break
-        passive[j] = True
-        # Each pass that does not break pins a passive variable: at most p passes.
-        for _ in range(p + 1):
-            cols = np.flatnonzero(passive)
-            z = np.zeros(p)
-            z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-            if z[cols].min() > 0:
-                x = z
-                break
-            # Step toward z only as far as feasibility allows, then drop
-            # the variables pinned at zero from the passive set.
-            blocking = np.flatnonzero(passive & (z <= 0))
-            ratios = x[blocking] / (x[blocking] - z[blocking])
-            alpha = float(ratios.min())
-            x = x + alpha * (z - x)
-            pinned = passive & (x <= 1e-14)
-            # Round-off can leave the blocking minimizer slightly above zero.
-            pinned[blocking[int(np.argmin(ratios))]] = True
-            x[pinned] = 0.0
-            passive &= ~pinned
-            if not passive.any():
-                x[:] = 0.0
-                break
-    else:
-        raise SigArchiveError("nnls failed to converge within the step limit")
-
-    x[~passive] = 0.0
-    np.maximum(x, 0.0, out=x)
-    return x
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum(u * v)`` along the last axis, each row one numpy pairwise sum
+    over the contiguous entries of a C-order product.  A row's bits depend on
+    that row alone: not on the row count, the inputs' memory order or the
+    BLAS thread count, as those of a BLAS dot product or matmul can."""
+    return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
 
 
-def _nnls_inputs(a, b, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated float64 ``a`` of shape (n, p) and ``b`` of shape (n,) or,
-    with ``ndim`` 2, (n, m)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValidationError(f"matrix must be 2-d, got shape {a.shape}")
-    n = a.shape[0]
-    if b.ndim != ndim or b.shape[0] != n:
-        want = f"({n},)" if ndim == 1 else f"({n}, m)"
-        raise ValidationError(f"target must have shape {want}, got {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValidationError("nnls inputs must be finite")
-    col_norms = np.linalg.norm(a, axis=0)
-    if (col_norms == 0).any():
-        dead = int(np.argmin(col_norms))
-        raise ValidationError(f"matrix column {dead} has zero norm")
-    return a, b
-
-
-def _groups(passive: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The distinct columns of a boolean matrix, each with the indices of
-    the columns equal to it."""
-    order = np.lexsort(passive[::-1])
-    cuts = np.flatnonzero((passive[:, order[1:]] != passive[:, order[:-1]]).any(axis=0))
-    return [(passive[:, cols[0]], cols) for cols in np.split(order, cuts + 1) if cols.size]
+def _combine(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a.T`` for (m, p) coefficient rows ``x``, summed over the p
+    columns of ``a`` in order, so that each row depends on that row alone."""
+    out = np.zeros((x.shape[0], a.shape[0]))
+    for j in range(a.shape[1]):
+        out += x[:, j, None] * a[:, j]
+    return out
 
 
 def _solve_on_sets(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
-    """Least-squares solution of every column of ``c`` on its passive set,
-    zero elsewhere: one normal-equations solve per distinct passive set."""
+    """Least-squares solution of every row of ``c`` on its passive set (the
+    same row of ``passive``), zero elsewhere.  Rows sharing a set share one
+    stacked solve, one LAPACK gesv per row, so no row's bits depend on how
+    many share it; a singular set gets the minimum-norm solution."""
     z = np.zeros(c.shape)
-    for in_set, cols in _groups(passive):
-        rows = np.flatnonzero(in_set)
+    sets, which = np.unique(passive, axis=0, return_inverse=True)
+    which = which.ravel()
+    for i, in_set in enumerate(sets):
+        rows, cols = np.flatnonzero(which == i)[:, None], np.flatnonzero(in_set)
+        g, rhs = gram[cols[:, None], cols], c[rows, cols]
         try:
-            z[np.ix_(rows, cols)] = np.linalg.solve(gram[np.ix_(rows, rows)],
-                                                    c[np.ix_(rows, cols)])
-        except np.linalg.LinAlgError:   # singular: leave the set to be refused
-            z[:, cols] = np.nan
+            sol = np.linalg.solve(np.broadcast_to(g, (rows.size,) + g.shape),
+                                  rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            sol = _rowdot(rhs[:, None, :], np.linalg.pinv(g))
+        z[rows, cols] = sol
     return z
 
 
-def _nnls_passive_sets(gram: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The active-set search of :func:`nnls_solve`, for all columns of
-    ``c = a.T @ b`` at once (FCNNLS: Van Benthem & Keenan, J. Chemometrics
-    2004).
+def _nnls_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nnls_solve` for every row of the (m, n) ``b`` at once.
 
-    Same entering rule, step and pin rule and step limit, but on the normal
-    equations, so a column may end on another set than ``nnls_solve`` would.
-    Returns the final passive sets as the columns of a (p, m) boolean array,
-    and which columns stopped within the step limit.
+    Lawson-Hanson active-set iteration (1974) on the normal equations
+    ``G = a.T @ a`` and ``c_i = a.T @ b_i``, run for all rows together as in
+    FCNNLS (Van Benthem & Keenan, J. Chemometrics 2004).  A row stops once
+    no free gradient ``(c_i - G x)_j`` exceeds ``_KKT_TOL * max|c_i|``.
+    Every sum is a :func:`_rowdot` and every solve one gesv per row, so a
+    row gets the same bits alone as in any batch, whatever the BLAS thread
+    count.
+
+    Returns the (m, p) solutions, exactly nonnegative, and which rows
+    stopped within the step limit.
     """
-    p, m = c.shape
-    tol = _KKT_TOL * np.abs(c).max(axis=0)
-    x = np.zeros((p, m))
-    passive = np.zeros((p, m), dtype=bool)
+    at = a.T
+    gram = np.stack([_rowdot(at, s) for s in at], axis=-1)
+    c = np.stack([_rowdot(b, s) for s in at], axis=-1)
+    m, p = c.shape
+    tol = _KKT_TOL * np.abs(c).max(axis=1)
+    x = np.zeros((m, p))
+    passive = np.zeros((m, p), dtype=bool)
     todo = np.arange(m)
     for _ in range(max(3 * p, 30)):
-        w = np.where(passive[:, todo], -np.inf, c[:, todo] - gram @ x[:, todo])
-        enter = np.argmax(w, axis=0)
-        go = w[enter, np.arange(todo.size)] > tol[todo]
+        free = np.where(passive[todo], -np.inf, c[todo] - _rowdot(x[todo, None, :], gram))
+        enter = np.argmax(free, axis=1)
+        go = free[np.arange(todo.size), enter] > tol[todo]
         todo, enter = todo[go], enter[go]
         if not todo.size:
             break
-        passive[enter, todo] = True
+        passive[todo, enter] = True
         inner = todo
+        # Each pass that does not finish a row pins one of its variables:
+        # at most p passes.
         for _ in range(p + 1):
-            z = _solve_on_sets(gram, c[:, inner], passive[:, inner])
-            ps = passive[:, inner]
-            done = np.where(ps, z, np.inf).min(axis=0) > 0
-            x[:, inner[done]] = z[:, done]
-            inner, z, ps, xs = inner[~done], z[:, ~done], ps[:, ~done], x[:, inner[~done]]
+            ps, xs = passive[inner], x[inner]
+            z = _solve_on_sets(gram, c[inner], ps)
+            done = np.where(ps, z, np.inf).min(axis=1) > 0
+            x[inner[done]] = z[done]
+            inner, ps, xs, z = inner[~done], ps[~done], xs[~done], z[~done]
             if not inner.size:
                 break
-            ratios = np.where(ps & (z <= 0), xs / (xs - z), np.inf)
-            block = np.argmin(ratios, axis=0)
+            # Step toward z only as far as feasibility allows, then drop
+            # the variables pinned at zero from the passive set.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(ps & (z <= 0), xs / (xs - z), np.inf)
+            block = np.argmin(ratios, axis=1)
             span = np.arange(inner.size)
-            xs = xs + ratios[block, span] * (z - xs)
+            xs += ratios[span, block, None] * (z - xs)
             pinned = ps & (xs <= 1e-14)
-            pinned[block, span] = True
+            # Round-off can leave the blocking minimizer slightly above zero.
+            pinned[span, block] = True
             xs[pinned] = 0.0
-            x[:, inner] = xs
-            passive[:, inner] = ps & ~pinned
-            inner = inner[passive[:, inner].any(axis=0)]
+            x[inner] = xs
+            passive[inner] = ps & ~pinned
+            inner = inner[passive[inner].any(axis=1)]
     stopped = np.ones(m, dtype=bool)
     stopped[todo] = False   # still searching when the step limit ran out
-    return passive, stopped
+    return x, stopped
 
 
-def _margins(gram: np.ndarray, cols: np.ndarray,
-             off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per passive column j, ``2 * sum_k max(inv(G_P)_jk, 0)``; per off-set
-    column i, ``1 + 2 * sum_k max(r_ik, 0)`` with ``r_i = inv(G_P) G_Pi``.
-    Infinite (nothing certified) if ``G_P`` is singular."""
-    try:
-        inv = np.linalg.inv(gram[np.ix_(cols, cols)])
-    except np.linalg.LinAlgError:
-        return np.full(cols.size, np.inf), np.full(off.size, np.inf)
-    reach = np.maximum(gram[np.ix_(off, cols)] @ inv, 0.0).sum(axis=1)
-    return 2.0 * np.maximum(inv, 0.0).sum(axis=1), 1.0 + 2.0 * reach
+def nnls_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``min_h ||a @ h - b||`` subject to ``h >= 0``, for an (n, p)
+    ``a`` with no zero column and an (n,) ``b`` whose entries may be negative.
 
-
-def _finish(a: np.ndarray, b: np.ndarray, cols: np.ndarray, off: np.ndarray,
-            on_margin: np.ndarray, off_margin: np.ndarray) -> np.ndarray | None:
-    """:func:`nnls_solve`'s result for ``b`` if it ends on passive set
-    ``cols`` (the other columns being ``off``), computed by the call it
-    returns from; None unless the set clears the :func:`_margins`."""
-    tol = _KKT_TOL * float(np.abs(a.T @ b).max())
-    x = np.zeros(a.shape[1])
-    if cols.size:
-        x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-    gradient = a.T @ (b - a @ x)
-    if (gradient[off] < -tol * off_margin).all() and (x[cols] > tol * on_margin).all():
-        return x
-    return None
-
-
-def _nnls_batch(a: np.ndarray, b: np.ndarray) -> list[np.ndarray | None]:
-    """:func:`nnls_solve` for every column of ``b``, bit for bit, where that
-    can be certified without running it; None where the caller must run it.
-
-    Discovery runs the Lawson-Hanson search on all columns at once through
-    ``G = a.T @ a`` and ``a.T @ b``, grouping the columns that share a
-    passive set; it proposes a set P per column and fixes no output bit.
-    The finish solves each column on P with the exact ``lstsq`` call that
-    ``nnls_solve`` returns from, on a fresh contiguous copy of the column,
-    so the bits agree whenever ``nnls_solve`` ends on P.
-
-    ``nnls_solve`` ends on a set Q with ``y = lstsq`` on Q positive and
-    every gradient ``w_i = (a.T @ (b - a @ y))_i`` off Q at most ``tol``.
-    Such a y exactly minimizes ``||a @ h - b||^2 / 2 + e @ h`` over
-    ``h >= 0`` for ``e = max(w, 0)`` off Q, 0 on Q: one e in ``[0, tol]^p``.
-    P is certified when, for every such e, ``x_P - inv(G_P) e_P`` stays
-    positive and every gradient off P stays negative; then that point is
-    the minimizer for each e, so y is that point (``a[:, P]`` has full
-    rank) and Q = P.  Worst cases over the box give the two tests made:
-    ``x_j > tol * sum_k max(inv(G_P)_jk, 0)`` on P and
-    ``w_i < -tol * sum_k max(r_ik, 0)`` off P, where ``r_i`` solves
-    ``G_P r_i = G_Pi``.  Both are doubled, and every off-set gradient also
-    kept below ``-tol``, as slack for the rounding of both solvers.  This
-    rules out every Q other than P, whatever it drops or adds; it assumes
-    ``nnls_solve`` stops within its step limit.
-
-    Returns one entry per column of ``b``: ndarray of shape (p,), or None
-    where the set was not certified (for instance an all-zero column).
+    Lawson-Hanson active-set iteration, as the batch of one of
+    :func:`_nnls_rows`.  The returned (p,) vector is exactly nonnegative and
+    satisfies the KKT conditions to within ``_KKT_TOL`` relative to
+    ``max(|a.T @ b|)``.
     """
-    a, b = _nnls_inputs(a, b, 2)
-    gram = a.T @ a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        passive, stopped = _nnls_passive_sets(gram, a.T @ b)
-    solved = [None] * b.shape[1]
-    for in_set, members in _groups(passive):
-        cols, off = np.flatnonzero(in_set), np.flatnonzero(~in_set)
-        on_margin, off_margin = _margins(gram, cols, off)
-        for j in members[stopped[members]]:
-            solved[j] = _finish(a, np.array(b[:, j]), cols, off, on_margin, off_margin)
-    return solved
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.shape != a.shape[:1]:
+        raise ValidationError(f"need an (n, p) matrix and an (n,) target, got shapes "
+                              f"{a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("nnls inputs must be finite")
+    dead = np.flatnonzero(np.linalg.norm(a, axis=0) == 0)
+    if dead.size:
+        raise ValidationError(f"matrix column {dead[0]} has zero norm")
+    x, stopped = _nnls_rows(a, b[None])
+    if not stopped[0]:
+        raise SigArchiveError(NNLS_STEP_LIMIT)
+    return x[0]
 
 
 def relative_error(x: FeatureMatrix, pair: FactorPair) -> float:

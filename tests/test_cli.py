@@ -496,27 +496,37 @@ class TestDeterminism:
 
     def test_blas_thread_count_never_changes_outputs(self, tmp_path):
         # 40 x 1,000 samples: the whole-matrix residual norms are long enough
-        # for OpenBLAS to split a dot product across threads
-        steps = (
-            ("synth", "--n-classes", "4", "--samples-per-class", "250", "--seed", "7"),
-            ("build", "--features", "features.csv", "--labels", "labels.csv",
-             "--archive", "arc.json", "--k-max", "6", "--n-perturbations", "10"),
-            ("classify", "--archive", "arc.json", "--features", "features.csv",
-             "--output", "predictions.csv", "--threshold", "0.95"),
-            ("evaluate", "--predictions", "predictions.csv", "--truth", "truth.csv",
-             "--report", "report.json"),
-        )
-        for threads in ("1", "2"):
-            root = tmp_path / threads
-            root.mkdir()
-            for args in steps:
-                if args[0] == "evaluate":
-                    (root / "truth.csv").write_text("sample_id,label,novel\n" + "".join(
-                        f"{r['sample_id']},{r['label']},0\n"
-                        for r in read_rows(root / "labels.csv")))
-                result = run(args, root, OPENBLAS_NUM_THREADS=threads)
-                assert result.returncode == 0, result.stderr
-        for name in ("features.csv", "labels.csv", "truth.json", "arc.json",
-                     "arc.report.json", "predictions.csv", "report.json",
-                     "report.curve.csv"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+        # for OpenBLAS to split a dot product across threads.  12,000 x 30:
+        # so are each sample's score sums and projection
+        inputs = {
+            "long": (("--n-classes", "4", "--samples-per-class", "250"),
+                     ("--k-max", "6", "--n-perturbations", "10"), "0.95"),
+            "wide": (("--n-features", "12000", "--n-classes", "3",
+                      "--samples-per-class", "10"),
+                     ("--k-max", "3", "--n-perturbations", "4"), "0.5"),
+        }
+        for data, (synth, build, threshold) in inputs.items():
+            steps = (
+                ("synth", *synth, "--seed", "7"),
+                ("build", "--features", "features.csv", "--labels", "labels.csv",
+                 "--archive", "arc.json", *build),
+                ("classify", "--archive", "arc.json", "--features", "features.csv",
+                 "--output", "predictions.csv", "--threshold", threshold),
+                ("evaluate", "--predictions", "predictions.csv", "--truth", "truth.csv",
+                 "--report", "report.json"),
+            )
+            for threads in ("1", "2"):
+                root = tmp_path / data / threads
+                root.mkdir(parents=True)
+                for args in steps:
+                    if args[0] == "evaluate":
+                        (root / "truth.csv").write_text("sample_id,label,novel\n" + "".join(
+                            f"{r['sample_id']},{r['label']},0\n"
+                            for r in read_rows(root / "labels.csv")))
+                    result = run(args, root, OPENBLAS_NUM_THREADS=threads)
+                    assert result.returncode == 0, result.stderr
+            for name in ("features.csv", "labels.csv", "truth.json", "arc.json",
+                         "arc.report.json", "predictions.csv", "report.json",
+                         "report.curve.csv"):
+                one, two = (tmp_path / data / t / name for t in ("1", "2"))
+                assert one.read_bytes() == two.read_bytes(), (data, name)

@@ -1,11 +1,9 @@
-"""Batched NNLS (``linalg._nnls_batch``) and the batched ``classify_batch``.
+"""The NNLS kernel (``linalg._nnls_rows``) and the batched ``classify_batch``.
 
-``nnls_solve`` is the reference: every coefficient vector the batch returns
-must have its bytes, and a column the batch cannot certify is returned as
-None, for the caller to solve with ``nnls_solve``.
+A target's solution must have the same bits alone (``nnls_solve``, the batch
+of one) as in any batch, and must match exhaustive enumeration; a batch of
+samples must classify as one ``classify`` call per sample, bit for bit.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -19,41 +17,19 @@ from sigarchive import (
     classify,
     classify_batch,
     inference,
-    linalg,
     nnls_solve,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic
 from sigarchive.inference import BatchFailure
-from sigarchive.linalg import _nnls_batch as nnls_batch
-
-KKT_TOL = 1e-8
-
-
-def reference(a, b):
-    """``nnls_solve`` of every column of ``b``, None where it raises."""
-    out = []
-    for j in range(b.shape[1]):
-        try:
-            out.append(nnls_solve(a, np.array(b[:, j])))
-        except SigArchiveError:
-            out.append(None)
-    return out
-
-
-def assert_certified_bits_equal(a, b):
-    got, want = nnls_batch(a, b), reference(a, b)
-    for j, (x, ref) in enumerate(zip(got, want)):
-        if x is not None:
-            assert ref is not None, f"column {j}: nnls_solve raises"
-            assert x.tobytes() == ref.tobytes(), f"column {j}: {x!r} != {ref!r}"
-    return got
+from sigarchive.linalg import _KKT_TOL, _nnls_rows, _solve_on_sets
 
 
 def draw_problem(data):
-    """A matrix with p in 1..12 columns and n above or below p, and targets
-    of every kind the batch must handle."""
+    """A matrix with p in 1..16 columns and n above or below p, in C or
+    Fortran order, and targets of every kind the kernel must handle, as the
+    columns of ``b``."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    p = data.draw(st.integers(1, 12))
+    p = data.draw(st.integers(1, 16))
     n = data.draw(st.sampled_from([max(1, p - 2), p, p + 3, 40]))
     a = rng.random((n, p)) if data.draw(st.booleans()) else rng.standard_normal((n, p))
     if p > 1:
@@ -80,31 +56,56 @@ def draw_problem(data):
             cols.append(col)
         else:
             cols.append(np.zeros(n))
-    return a, np.column_stack(cols)
+    b = np.column_stack(cols)
+    if data.draw(st.booleans()):
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    return a, b
+
+
+def kernel(a, b):
+    """The kernel's solutions and stop flags for the columns of ``b``."""
+    return _nnls_rows(a, b.T)
 
 
 class TestNnlsBatch:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_bits_equal_nnls_solve(self, data):
+        # nnls_solve is the batch of one: every column gets the bits alone
+        # that it gets in the batch, and fails alone iff it fails in it
         a, b = draw_problem(data)
-        assert_certified_bits_equal(a, b)
+        x, stopped = kernel(a, b)
+        for j in range(b.shape[1]):
+            alone, alone_stopped = kernel(a, np.array(b[:, j])[:, None])
+            assert alone[0].tobytes() == x[j].tobytes(), f"column {j}"
+            assert alone_stopped[0] == stopped[j]
+            if stopped[j]:
+                assert nnls_solve(a, b[:, j]).tobytes() == x[j].tobytes()
+            else:
+                with pytest.raises(SigArchiveError, match="step limit"):
+                    nnls_solve(a, b[:, j])
 
     def test_well_posed_columns_are_all_certified(self):
+        # the KKT conditions certify each solution: nonnegative, gradient
+        # at most tol off the passive set and about 0 on it
         rng = np.random.default_rng(3)
         a = rng.random((30, 5))
         b = a @ rng.random((5, 400)) + 0.05 * rng.random((30, 400))
-        got = assert_certified_bits_equal(a, b)
-        assert all(x is not None for x in got)
+        x, stopped = kernel(a, b)
+        assert stopped.all() and (x >= 0).all()
+        gradient = (a.T @ (b - a @ x.T)).T
+        tol = _KKT_TOL * np.abs(a.T @ b).max(axis=0)[:, None]
+        assert (gradient[x == 0] <= np.broadcast_to(tol, x.shape)[x == 0]).all()
+        assert np.abs(gradient[x > 0]).max() <= 1e-10
 
-    def test_all_zero_column_is_left_to_nnls_solve(self):
+    def test_all_zero_column_solves_to_zero(self):
         a = np.eye(3)[:, :2]
-        got = nnls_batch(a, np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]))
-        assert got[0].tobytes() == np.array([1.0, 2.0]).tobytes() and got[1] is None
+        x, stopped = kernel(a, np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]))
+        assert x[0].tobytes() == np.array([1.0, 2.0]).tobytes()
+        assert x[1].tobytes() == np.zeros(2).tobytes() and stopped.all()
 
     def test_matches_exhaustive_oracle(self):
-        # criterion 2's problems and tolerance, the batch finishing with
-        # nnls_solve where it certifies nothing
+        # criterion 2's problems and tolerance, solved six targets at a time
         worst = 0.0
         for trial in range(100):
             rng = np.random.default_rng(trial)
@@ -113,135 +114,35 @@ class TestNnlsBatch:
             if trial % 2:
                 a = np.abs(a)
             b = rng.standard_normal((n, 6))
-            for j, x in enumerate(nnls_batch(a, b)):
-                x = nnls_solve(a, b[:, j]) if x is None else x
+            x, stopped = kernel(a, b)
+            assert stopped.all()
+            for j in range(b.shape[1]):
                 _, best = nnls_exhaustive(a, b[:, j])
-                worst = max(worst, abs(float(np.linalg.norm(a @ x - b[:, j])) - best))
+                worst = max(worst, abs(float(np.linalg.norm(a @ x[j] - b[:, j])) - best))
         assert worst <= 1e-8
 
     def test_no_columns(self):
-        assert nnls_batch(np.eye(3), np.zeros((3, 0))) == []
+        x, stopped = kernel(np.eye(3), np.zeros((3, 0)))
+        assert x.shape == (0, 3) and stopped.shape == (0,)
 
-    @pytest.mark.parametrize("b", [np.ones(3), np.ones((2, 4))])
+    @pytest.mark.parametrize("b", [np.ones(2), np.ones((3, 1))])
     def test_target_shape_checked(self, b):
         with pytest.raises(ValidationError):
-            nnls_batch(np.ones((3, 2)), b)
+            nnls_solve(np.ones((3, 2)), b)
 
     def test_zero_column_rejected(self):
         with pytest.raises(ValidationError):
-            nnls_batch(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((2, 1)))
+            nnls_solve(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
 
-
-def stopping_sets(a, b):
-    """Every passive set on which ``nnls_solve`` may stop: its least-squares
-    solution is positive and no gradient off it exceeds ``tol``."""
-    p = a.shape[1]
-    tol = KKT_TOL * np.abs(a.T @ b).max()
-    for r in range(p + 1):
-        for subset in itertools.combinations(range(p), r):
-            cols = list(subset)
-            x = np.zeros(p)
-            if cols:
-                x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-            gradient = a.T @ (b - a @ x)
-            if (x[cols] > 0).all() and (np.delete(gradient, cols) <= tol).all():
-                yield cols
-
-
-def within_tolerance_cases():
-    """Problems with two sets on which ``nnls_solve`` may stop: the one it
-    ends on (``final``) and a trap it does not end on.
-
-    1. Lawson-Hanson stops short of a coefficient so small that the gradient
-       it has without it, x_j / inv(G_P)_jj, lies in (0, tol].
-    2. The same, but that coefficient entered first and stays.
-    3. The trap adds three coefficients of 2.5 * tol * inv(G_P)_jj, whose
-       inverse-Gram rows are 1, 0.9, 0.9: each alone would be too large to
-       drop, but their joint gradient without them is 2.5 * tol / 2.8.
-    4. The trap swaps a column for one ten times its length and nearly
-       parallel: off the trap it has gradient -2 * tol, yet the trap's
-       column has gradient 0.2 * tol once the other is in.
-    """
-    c = 0.5
-    stops_short = np.array([[1.0, c], [0.0, np.sqrt(1 - c * c)], [0.0, 0.0]])
-    tol = KKT_TOL * np.abs(stops_short.T @ stops_short[:, 0]).max()
-    yield stops_short, stops_short @ [1.0, 0.5 * tol / (1 - c * c)], [0], [0, 1]
-
-    enters_first = np.zeros((4, 3))
-    enters_first[0, 0] = enters_first[1, 1] = 1.0
-    enters_first[:3, 2] = np.array([1.0, 1.0, 0.3]) / np.sqrt(2.09)
-    tol = KKT_TOL * np.abs(enters_first.T @ enters_first @ [1.0, 1.0, 0.0]).max()
-    tiny = 0.5 * tol * np.linalg.inv(enters_first.T @ enters_first)[2, 2]
-    yield enters_first, enters_first @ [1.0, 1.0, tiny], [0, 1, 2], [0, 1]
-
-    drops_three = np.eye(4)
-    inv_gram = 0.1 * np.eye(3) + 0.9
-    drops_three[:3, :3] = np.linalg.cholesky(np.linalg.inv(inv_gram)).T
-    yield drops_three, drops_three @ [2.5 * KKT_TOL, 2.5 * KKT_TOL, 2.5 * KKT_TOL, 1.0], \
-        [3], [0, 1, 2, 3]
-
-    swaps = np.array([[1.0, 10.0], [0.0, 1e-4]])
-    yield swaps, np.array([1.0, -2e-3]), [1], [0]
-
-
-class TestCertificate:
-    """The finish must refuse every set ``nnls_solve`` does not end on."""
-
-    @pytest.mark.parametrize("a,b,final,trap", list(within_tolerance_cases()))
-    def test_trap_meets_the_stopping_rule(self, a, b, final, trap):
-        assert np.flatnonzero(nnls_solve(a, b)).tolist() == final
-        assert trap in list(stopping_sets(a, b))
-
-    @pytest.mark.parametrize("a,b,final,trap", list(within_tolerance_cases()))
-    def test_every_candidate_set_is_refused_or_exact(self, monkeypatch, a, b, final, trap):
-        want = nnls_solve(a, b)
-        p = a.shape[1]
-        for r in range(p + 1):
-            for subset in itertools.combinations(range(p), r):
-                passive = np.zeros((p, 1), dtype=bool)
-                passive[list(subset)] = True
-                monkeypatch.setattr(linalg, "_nnls_passive_sets",
-                                    lambda g, c, s=passive: (s, np.ones(1, bool)))
-                x = nnls_batch(a, b[:, None])[0]
-                assert x is None or x.tobytes() == want.tobytes(), subset
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1))
-    def test_near_tolerance_sets_are_refused_or_exact(self, seed):
-        # problems whose optimum has coefficients of a few tol, often with
-        # near-parallel or rescaled columns; every candidate set is tried
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(2, 5))
-        n = int(rng.integers(p, p + 3))
-        a = rng.standard_normal((n, p)) if rng.random() < 0.5 else rng.random((n, p))
-        if rng.random() < 0.5:
-            i, k = rng.choice(p, 2, replace=False)
-            a[:, k] = a[:, i] + rng.choice([0.1, 0.01]) * rng.standard_normal(n)
-        a *= rng.choice([0.1, 1.0, 3.0, 10.0], size=p)
-        x = rng.random(p) * (rng.random(p) < 0.6)
-        scale = KKT_TOL * (np.abs(a.T @ a @ x).max() + 1.0)
-        tiny = rng.random(p) < 0.5
-        x[tiny] = 6 * scale * rng.uniform(-1, 1, tiny.sum())
-        b = a @ x + 5 * scale * rng.random() * rng.standard_normal(n)
-        try:
-            want = nnls_solve(a, b)
-        except SigArchiveError:
-            return
-        for r in range(p + 1):
-            for subset in itertools.combinations(range(p), r):
-                passive = np.zeros((p, 1), dtype=bool)
-                passive[list(subset)] = True
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(linalg, "_nnls_passive_sets",
-                                  lambda g, c, s=passive: (s, np.ones(1, bool)))
-                    got = nnls_batch(a, b[:, None])[0]
-                assert got is None or got.tobytes() == want.tobytes(), subset
-
-    def test_step_limit_columns_are_not_certified(self, monkeypatch):
-        a = np.eye(2)
-        monkeypatch.setattr(linalg, "_nnls_passive_sets",
-                            lambda g, c: (np.ones((2, 1), bool), np.zeros(1, bool)))
-        assert nnls_batch(a, np.ones((2, 1))) == [None]
+    def test_singular_set_gets_the_minimum_norm_solution(self):
+        # a passive set holding a column twice has a singular Gram block;
+        # only its rows fall back, and the others keep their solve
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        gram, c = a.T @ a, (a.T @ np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 1.0]]).T).T
+        passive = np.array([[True, True, False], [False, False, True]])
+        z = _solve_on_sets(gram, c, passive)
+        np.testing.assert_allclose(z[0], [0.5 * 2.5, 0.5 * 2.5, 0.0])
+        assert z[1].tobytes() == np.array([0.0, 0.0, c[1, 2] / gram[2, 2]]).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -256,48 +157,62 @@ def synthetic():
     return fm(values), archive
 
 
+def assert_equals_classify_per_column(samples, archive, cfg):
+    preds, failures = classify_batch(samples, archive, cfg)
+    want, want_failures = [], []
+    for j, sid in enumerate(samples.sample_ids):
+        try:
+            want.append(classify(samples.values[:, j], archive, cfg, sample_id=sid))
+        except SigArchiveError as exc:
+            want_failures.append(BatchFailure(j, sid, str(exc)))
+    assert preds == want
+    assert [p.coefficients.tobytes() for p in preds] == \
+        [p.coefficients.tobytes() for p in want]
+    assert failures == want_failures
+    return failures
+
+
 class TestClassifyBatchEquivalence:
     def test_equals_classify_per_column(self, synthetic):
         samples, archive = synthetic
-        cfg = InferenceConfig(t=0.8)
-        preds, failures = classify_batch(samples, archive, cfg)
-        want, want_failures = [], []
-        for j, sid in enumerate(samples.sample_ids):
-            try:
-                want.append(classify(samples.values[:, j], archive, cfg, sample_id=sid))
-            except SigArchiveError as exc:
-                want_failures.append(BatchFailure(j, sid, str(exc)))
-        assert preds == want
-        assert [p.coefficients.tobytes() for p in preds] == \
-            [p.coefficients.tobytes() for p in want]
-        assert failures == want_failures and [f.index for f in failures] == [7, 150]
+        failures = assert_equals_classify_per_column(samples, archive, InferenceConfig(t=0.8))
+        assert [f.index for f in failures] == [7, 150]
 
-    def test_only_all_zero_samples_fall_back(self, synthetic, monkeypatch):
+    def test_batch_larger_than_a_block(self, synthetic):
+        # 1,120 samples run as two kernel calls; an all-zero sample in the
+        # second block keeps its own index
         samples, archive = synthetic
-        calls = []
-        monkeypatch.setattr(inference, "nnls_solve",
-                            lambda *a, **k: calls.append(1) or nnls_solve(*a, **k))
-        classify_batch(samples, archive)
-        assert len(calls) == 2
+        values = np.tile(samples.values, 3)[:, :inference._BLOCK + 96]
+        values[:, [7, 150, 407, 550, 807, 950]] = 1.0 + np.arange(6)
+        values[:, inference._BLOCK + 5] = 0.0
+        failures = assert_equals_classify_per_column(fm(values), archive,
+                                                     InferenceConfig(t=0.8))
+        assert [f.index for f in failures] == [inference._BLOCK + 5]
 
-    def test_wrong_sets_fall_back_to_nnls_solve(self, synthetic, monkeypatch):
+    def test_wide_samples_equal_classify_per_column(self):
+        # 12,000 features: long enough rows for OpenBLAS to split a dot product
+        rng = np.random.default_rng(5)
+        archive = toy_archive(rng.random((12_000, 6)), [f"c{j}" for j in range(6)])
+        samples = fm(archive.signature_matrix() @ rng.random((6, 20))
+                     + 0.1 * rng.random((12_000, 20)))
+        assert not assert_equals_classify_per_column(samples, archive, InferenceConfig(t=0.9))
+
+    def test_step_limit_fails_only_its_own_sample(self, synthetic, monkeypatch):
         samples, archive = synthetic
-        base, base_failures = classify_batch(samples, archive)
-        discover = linalg._nnls_passive_sets
+        base, _ = classify_batch(samples, archive)
+        solve = inference._nnls_rows
 
-        def complement(*args):
-            passive, stopped = discover(*args)
-            return ~passive, stopped
+        def stalls_on_the_third(a, b):
+            x, stopped = solve(a, b)
+            stopped[2] = False
+            return x, stopped
 
-        monkeypatch.setattr(linalg, "_nnls_passive_sets", complement)
-        calls = []
-        monkeypatch.setattr(inference, "nnls_solve",
-                            lambda *a, **k: calls.append(1) or nnls_solve(*a, **k))
+        monkeypatch.setattr(inference, "_nnls_rows", stalls_on_the_third)
         preds, failures = classify_batch(samples, archive)
-        assert len(calls) == samples.n_samples
-        assert preds == base and failures == base_failures
-        assert [p.coefficients.tobytes() for p in preds] == \
-            [p.coefficients.tobytes() for p in base]
+        assert failures[0] == BatchFailure(
+            2, samples.sample_ids[2], "nnls failed to converge within the step limit")
+        assert [f.index for f in failures] == [2, 7, 150]
+        assert preds == [p for p in base if p.sample_id != samples.sample_ids[2]]
 
     def test_empty_archive_fails_every_sample(self, synthetic):
         samples, archive = synthetic
