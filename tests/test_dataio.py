@@ -79,10 +79,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match=r"feature 'f0', sample 'b'"):
             load_features_csv(tmp_path / "f.csv")
 
+    @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" included
     def test_missing_feature_rows_rejected(self, tmp_path):
-        (tmp_path / "f.csv").write_text("feature,a,b\n")
-        with pytest.raises(ValidationError, match="no feature rows"):
-            load_features_csv(tmp_path / "f.csv")
+        for text in ("feature,a,b\n", "feature,a,b"):
+            (tmp_path / "f.csv").write_text(text)
+            with pytest.raises(ValidationError, match="no feature rows found"):
+                load_features_csv(tmp_path / "f.csv")
 
     def test_label_header_enforced(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label\na,x\n")

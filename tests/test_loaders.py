@@ -1,9 +1,11 @@
 """Loaders on arbitrary and generated input, and atomic output writes."""
 
+import csv
 import json
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import toy_archive
 from sigarchive import ArchiveFormatError, ValidationError, load_archive, save_archive
-from sigarchive import docio
+from sigarchive import dataio, docio
 from sigarchive.dataio import (
     MODE_PER_FEATURE_MAX,
     NormalizationParams,
@@ -136,7 +138,9 @@ def test_bulk_parse_matches_per_cell_float(scratch, cells):
     assert load_features_csv(path).values.tobytes() == expected.tobytes()
 
 
+# numpy's reader alone would take "1\x1c" (it strips "\x1c" as whitespace)
 _BAD_CELLS = [("x", "is not a number"), ("", "is not a number"),
+              ("1\x1c", "is not a number"), ("#1", "is not a number"),
               ("-1", "must be finite"), ("nan", "must be finite"),
               ("1e400", "must be finite"), ("-0.5", "must be finite")]
 
@@ -173,6 +177,103 @@ def test_feature_table_is_read_in_bounded_memory(tmp_path):
     assert peak < 6 * values.nbytes, peak / values.nbytes
 
 
+def _csv_reader_path(path):
+    """``load_features_csv`` with the plain pass declining every table."""
+    with mock.patch.object(dataio, "_plain_features", lambda path: None):
+        return load_features_csv(path)
+
+
+def _outcome(load, path):
+    """Values, ids and names of a loaded table, or its rejection message."""
+    try:
+        table = load(path)
+    except ValidationError as exc:
+        return str(exc)
+    return table.values.tobytes(), table.sample_ids, table.names
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal double
+
+_NUMBER_CELLS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300).map(repr),
+    st.floats(min_value=0.0, max_value=1e300).map(lambda v: format(v, ".17g")),
+    st.floats(min_value=0.0, max_value=1e300).map(lambda v: format(v, ".3e")),
+    st.floats(min_value=0.0, max_value=_TINY, allow_subnormal=True).map(repr),
+    st.sampled_from(["-0", "0", "1", "+1", ".5", "5.", "1E5", "1e-400", "1e400"]),
+)
+_ODD_CELLS = st.sampled_from([
+    "1_0", "#1", " 1", "1 ", "\uff11", "1\x1c", "nan", "inf", "-1", "1e", "e5", "-",
+    "", '"1"', '"1,5"', '""', "1\r", "x", "1\x00",
+])
+_ODD_NAMES = st.sampled_from(['"f,0"', '"f"', "f\r", "f\x1c", "\u00e9", "", "#f", "s0"])
+
+
+@st.composite
+def odd_tables(draw):
+    """Feature-table text: a plain table with up to two oddities in it."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = [["feature", *(f"s{j}" for j in range(m))]]
+    rows += [[f"f{i}", *draw(st.lists(_NUMBER_CELLS, min_size=m, max_size=m))]
+             for i in range(n)]
+    ends = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        odd = draw(st.sampled_from(["cell", "name", "end", "blank", "comma", "ragged"]))
+        if odd == "cell" and len(rows[i]) > 1:
+            rows[i][draw(st.integers(1, len(rows[i]) - 1))] = draw(_ODD_CELLS)
+        elif odd == "name":
+            rows[i][0] = draw(_ODD_NAMES)
+        elif odd == "end":
+            ends[i] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif odd == "blank":
+            ends[i] += "\n"
+        elif odd == "comma":
+            rows[i].append("")
+        elif odd == "ragged" and len(rows[i]) > 1:
+            rows[i].pop()
+    text = "".join(",".join(row) + end for row, end in zip(rows, ends))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@pytest.mark.filterwarnings("error::UserWarning")  # numpy: "input contained no data"
+@settings(max_examples=500, deadline=None)
+@given(text=odd_tables())
+def test_plain_pass_agrees_with_the_csv_reader_path(scratch, text):
+    path = scratch / "features.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_features_csv, path) == _outcome(_csv_reader_path, path)
+
+
+def test_repr_table_takes_the_plain_pass(tmp_path, monkeypatch):
+    # a guard that declined every table would pass every other test here
+    values = np.random.default_rng(1).uniform(0.0, 1.0, (3, 50))
+    path = _write_table(tmp_path / "features.csv",
+                        [[repr(v) for v in row] for row in values.tolist()])
+    monkeypatch.setattr(dataio, "_rows", None)  # the csv.reader path cannot run
+    loaded = load_features_csv(path)
+    assert loaded.values.tobytes() == values.tobytes()
+    assert loaded.names == ("f0", "f1", "f2")
+    assert loaded.sample_ids == tuple(f"s{j}" for j in range(50))
+
+
+def test_underscored_cell_still_reads_as_float_does(tmp_path):
+    path = _write_table(tmp_path / "features.csv", [["1_0", "2"]])
+    assert load_features_csv(path).values.tolist() == [[10.0, 2.0]]
+
+
+@pytest.mark.parametrize("width", [7, 8, 9])
+def test_plain_pass_keeps_the_csv_field_limit(tmp_path, width):
+    path = tmp_path / "features.csv"
+    path.write_text(f"feature,s0,s1\nf0,{'1' * width},2\nf1,3,4\n")
+    old = csv.field_size_limit(8)
+    try:
+        assert _outcome(load_features_csv, path) == _outcome(_csv_reader_path, path)
+        assert (dataio._plain_features(path) is None) == (width > 8)
+    finally:
+        csv.field_size_limit(old)
+
+
 def test_duplicate_sample_ids_keep_their_own_message(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("feature,a,a\nf0,1,2\n")
@@ -204,9 +305,6 @@ def _format_float_by_generator(value):
     if not any(c in text for c in ".eE"):
         text += ".0"
     return text
-
-
-_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
