@@ -1,11 +1,11 @@
 """Hierarchical construction of labeled signature archives.
 
-Each node of the hierarchy runs rank selection on its submatrix, factorizes
-at the chosen rank, and groups samples by their dominant latent signature.
-Label-uniform groups are archived as one signature each; mixed groups are
-factorized again one level deeper.  Samples that can never be archived are
-returned in an explicit unresolved bucket, so every training sample is
-accounted for exactly once.
+Each node of the hierarchy runs rank selection on its submatrix (a
+label-uniform node takes rank 1 without one), factorizes at the chosen rank,
+and groups samples by their dominant latent signature.  Label-uniform groups
+are archived as one signature each; mixed groups are factorized again one
+level deeper.  Samples that can never be archived are returned in an explicit
+unresolved bucket, so every training sample is accounted for exactly once.
 """
 
 from __future__ import annotations
@@ -337,27 +337,18 @@ def build_archive(
         seed = node_seed(cfg.seed, path)
 
         if len(set(node_labels)) == 1:
-            # A pure node needs no rank scan: archive its rank-1 signature.
-            try:
-                pair = normalize_factor_pair(nmf_factorize(sub, 1, seed))
-            except SigArchiveError:
-                return stop(REASON_DEGENERATE)
-            entries.append(ArchiveEntry(pair.w[:, 0], node_labels[0], 1.0,
-                                        size, f"{path}/k1/c0", depth))
-            node_reports.append(NodeReport(
-                path, depth, size, 1, "single-label", None,
-                (ClusterReport(0, size, node_labels[0], 1.0, "archived"),)))
-            return
-
-        if depth >= cfg.max_depth:
+            # a pure node needs no rank scan: it is the k = 1 node
+            ens, k, rule, per_k = None, 1, "single-label", None
+        elif depth >= cfg.max_depth:
             return stop(REASON_MAX_DEPTH)
-
-        k_max = min(cfg.ensemble.k_max, x.n_features, size - 1, _NODE_K_CAP)
-        k_min = min(cfg.ensemble.k_min, k_max)
-        ens = replace(cfg.ensemble, k_min=k_min, k_max=k_max, base_seed=seed)
+        else:
+            k_max = min(cfg.ensemble.k_max, x.n_features, size - 1, _NODE_K_CAP)
+            k_min = min(cfg.ensemble.k_min, k_max)
+            ens = replace(cfg.ensemble, k_min=k_min, k_max=k_max, base_seed=seed)
         try:
-            report = select_rank(sub, ens, mapper=members_mapper(ens))
-            k = report.selected_k
+            if ens is not None:
+                report = select_rank(sub, ens, mapper=members_mapper(ens))
+                k, rule, per_k = report.selected_k, report.selection_rule_fired, report.per_k
             pair = normalize_factor_pair(nmf_factorize(sub, k, seed))
         except SigArchiveError:
             return stop(REASON_DEGENERATE)
@@ -394,8 +385,8 @@ def build_archive(
             cluster_reports.append(ClusterReport(c, len(members), verdict.majority_label,
                                                  verdict.purity, outcome))
 
-        node_reports.append(NodeReport(path, depth, size, k, report.selection_rule_fired,
-                                       report.per_k, tuple(cluster_reports)))
+        node_reports.append(NodeReport(path, depth, size, k, rule, per_k,
+                                       tuple(cluster_reports)))
         for members, cpath in recursions:
             visit(members, cpath, depth + 1)
 

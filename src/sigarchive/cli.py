@@ -211,9 +211,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         try:
             score = float(score_text)
         except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
             raise ValidationError(
-                f"{args.predictions}: row {lineno}: score is not a number: "
-                f"{score_text!r}") from None
+                f"{args.predictions}: row {lineno}: score is not a finite number: "
+                f"{score_text!r}")
         decisions.append(decision)
         predicted.append(label)
         scores.append(score)

@@ -35,34 +35,22 @@ def format_float(value: float) -> str:
     return text
 
 
-def _emit(value, indent: int, out: list) -> None:
-    pad = "  " * indent
+def _emit(value, indent: int) -> str:
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
+        brackets = "{}"
+        items = [f"{json.dumps(str(key))}: {_emit(item, indent + 1)}"
+                 for key, item in value.items()]
     elif isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-            return
-        if all(isinstance(v, (int, float, str, bool)) or v is None for v in items):
-            out.append("[" + ", ".join(_scalar(v) for v in items) + "]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+        if all(isinstance(v, (int, float, str, bool)) or v is None for v in value):
+            return "[" + ", ".join(_scalar(v) for v in value) + "]"
+        brackets = "[]"
+        items = [_emit(item, indent + 1) for item in value]
     else:
-        out.append(_scalar(value))
+        return _scalar(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * indent
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
 def _scalar(value) -> str:
@@ -80,10 +68,7 @@ def _scalar(value) -> str:
 
 
 def dumps_document(value) -> str:
-    out: list[str] = []
-    _emit(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _emit(value, 0) + "\n"
 
 
 def loads_document(text: str):

@@ -240,25 +240,8 @@ class EvalReport:
             "macro_f1": _opt(self.metrics.macro_f1),
             "rejection_seen": _opt(self.rejection.seen),
             "rejection_novel": _opt(self.rejection.novel),
-            "per_class": [
-                {
-                    "label": s.label,
-                    "precision": float(s.precision),
-                    "recall": float(s.recall),
-                    "f1": float(s.f1),
-                    "covered_truth": s.covered_truth,
-                    "predicted": s.predicted,
-                }
-                for s in self.metrics.per_class
-            ],
-            "rc_curve": [
-                {
-                    "threshold": float(p.threshold),
-                    "coverage": float(p.coverage),
-                    "risk": float(p.risk),
-                }
-                for p in self.rc_curve
-            ],
+            "per_class": [{**vars(s)} for s in self.metrics.per_class],
+            "rc_curve": [{**vars(p)} for p in self.rc_curve],
         }
 
 

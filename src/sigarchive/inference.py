@@ -2,8 +2,10 @@
 
 A sample is projected onto the full set of archived signatures by
 nonnegative least squares; the cosine similarity between the sample and its
-reconstruction is the confidence score.  Samples scoring below the decision
-threshold are rejected as unrecognized rather than forced into a class.
+reconstruction, clipped to [0, 1], is the confidence score.  A zero
+reconstruction scores 0; an all-zero sample is an error, as its direction is
+undefined.  Samples scoring below the decision threshold are rejected as
+unrecognized rather than forced into a class.
 One sample and a batch go through the same NNLS kernel and the same
 row-wise sums, so a sample's score has the same bits alone as in any batch,
 whatever the BLAS thread count.
@@ -119,22 +121,6 @@ def _cosines(s: np.ndarray, r: np.ndarray) -> np.ndarray:
         value = np.clip(_rowdot(s, r) / (s_norm * r_norm), 0.0, 1.0)
     value[r_norm == 0] = 0.0
     value[s_norm == 0] = np.nan
-    return value
-
-
-def score(sample, reconstruction) -> float:
-    """Cosine similarity between a sample and its reconstruction.
-
-    A zero reconstruction scores 0; a zero sample is rejected as an error
-    because its direction is undefined.
-    """
-    s = np.array(sample, dtype=np.float64)
-    r = np.array(reconstruction, dtype=np.float64)
-    if s.shape != r.shape:
-        raise ValidationError(f"shape mismatch: {s.shape} vs {r.shape}")
-    value = float(_cosines(s.reshape(1, -1), r.reshape(1, -1))[0])
-    if math.isnan(value):
-        raise ValidationError(_ZERO_SAMPLE)
     return value
 
 

@@ -28,8 +28,8 @@ STOP_UPHILL = "uphill"
 STOP_REASONS = (STOP_CONVERGED, STOP_CAPPED, STOP_UPHILL)
 
 
-def _readonly_array(values, *, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _readonly_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, copy=True)
     arr.setflags(write=False)
     return arr
 

@@ -26,6 +26,7 @@ from sigarchive import (
 )
 from sigarchive.archive import (
     REASON_NODE_TOO_SMALL,
+    REASON_ZERO_ACTIVITY,
     assign_clusters,
     normalize_factor_pair,
     uniformity,
@@ -133,6 +134,26 @@ class TestBuildArchive:
         assert entry.label == "class0" and entry.depth == 0 and entry.purity == 1.0
         assert entry.support == 40 and not archive.unresolved
         assert report.n_archived == 40 and report.n_unresolved == 0
+
+    def test_single_label_node_parks_all_zero_sample(self):
+        # a pure node runs the k = 1 node path, so an all-zero sample is
+        # parked at the node, as a mixed node parks one, not archived
+        data, _ = generate_synthetic(SynthSpec(
+            n_features=10, n_classes=1, samples_per_class=40,
+            noise_sigma=0.02, seed=1))
+        values = data.features.values.copy()
+        values[:, 7] = 0.0
+        x = FeatureMatrix(values, data.features.sample_ids)
+        archive, report = build_archive(x, data.labels, small_build_config())
+        entry, = archive.entries
+        assert entry.support == 39 and entry.path == "root/k1/c0"
+        group, = archive.unresolved
+        assert group.path == "root" and group.reason == REASON_ZERO_ACTIVITY
+        assert group.sample_ids == (x.sample_ids[7],)
+        assert report.n_archived + report.n_unresolved == x.n_samples == 40
+        node, = report.nodes
+        assert (node.selected_k, node.selection_rule) == (1, "single-label")
+        assert node.clusters[0].size == 39
 
     def test_three_class_build(self):
         data, _ = generate_synthetic(SynthSpec(

@@ -355,6 +355,17 @@ class TestEvaluate:
         assert result.returncode == 2
         assert "empty label" in result.stderr
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0.9x"])
+    def test_unusable_score_names_its_row(self, tmp_path, text):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        preds = tmp_path / "p.csv"
+        preds.write_text(preds.read_text().replace(",0.98,", f",{text},"))
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "rep.json"), tmp_path)
+        assert result.returncode == 2
+        assert f"p.csv: row 3: score is not a finite number: {text!r}" in result.stderr
+        assert not (tmp_path / "rep.json").exists()
+
 
 class TestDeterminism:
     def pipeline(self, root):

@@ -16,7 +16,7 @@ from sigarchive import (
     classify_batch,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic, split_holdout
-from sigarchive.inference import BatchFailure, project, score
+from sigarchive.inference import BatchFailure, project
 
 AXES = np.eye(4)[:, :3]  # e0, e1, e2 as unit signature columns
 
@@ -69,33 +69,6 @@ class TestProject:
             project(np.array([1.0, math.inf, 0.0, 0.0]), axis_archive)
 
 
-class TestScore:
-    def test_parallel_vectors_score_one(self):
-        assert score([1.0, 2.0, 3.0], [3.0, 6.0, 9.0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_reconstruction_scores_zero(self):
-        assert score([1.0, 2.0], [0.0, 0.0]) == 0.0
-
-    def test_known_angle(self):
-        # cos between [1,0] and [1,1] is 1/sqrt(2)
-        assert score([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-
-    def test_zero_sample_is_an_error(self):
-        with pytest.raises(ValidationError):
-            score([0.0, 0.0], [1.0, 1.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            score([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_always_within_unit_interval(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            s = rng.random(6) + 1e-3
-            r = rng.random(6)
-            assert 0.0 <= score(s, r) <= 1.0
-
-
 class TestClassify:
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
     def test_exact_signature_passes_strict_threshold(self, axis_archive, scale):
@@ -141,6 +114,20 @@ class TestClassify:
                 assert kept <= previous
             previous = kept
         assert previous == {0}  # only the pure signature survives t=1.0
+
+    def test_wrong_length_rejected(self, axis_archive):
+        with pytest.raises(ValidationError):
+            classify(np.ones(5), axis_archive)
+
+    def test_zero_sample_is_an_error(self, axis_archive):
+        with pytest.raises(ValidationError, match="all-zero sample"):
+            classify(np.zeros(4), axis_archive)
+
+    def test_score_within_unit_interval(self, axis_archive):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            pred = classify(rng.random(4) + 1e-3, axis_archive)
+            assert 0.0 <= pred.score <= 1.0
 
 
 @pytest.fixture(scope="module")

@@ -319,3 +319,44 @@ def _format_float_by_generator(value):
 ))
 def test_format_float_writes_the_bytes_it_wrote_before(value):
     assert docio.format_float(value).encode() == _format_float_by_generator(value).encode()
+
+
+@pytest.mark.parametrize("value,text", [
+    ({}, "{}\n"),
+    ([], "[]\n"),
+    ((), "[]\n"),
+    ([True, False, None, 3, -0.5, 0.1, 2.0, "x"],
+     '[true, false, null, 3, -0.5, 0.10000000000000001, 2.0, "x"]\n'),
+    ([[], {}], "[\n  [],\n  {}\n]\n"),
+    ({"ünï": "café ☃"}, '{\n  "\\u00fcn\\u00ef": "caf\\u00e9 \\u2603"\n}\n'),
+    ({
+        "rows": [{"a": 1, "b": (1.5, True)}, {"empty": {}, "none": []}],
+        "mixed": (1, {"k": ({},)}),
+        "empty": {},
+    }, (
+        '{\n'
+        '  "rows": [\n'
+        '    {\n'
+        '      "a": 1,\n'
+        '      "b": [1.5, true]\n'
+        '    },\n'
+        '    {\n'
+        '      "empty": {},\n'
+        '      "none": []\n'
+        '    }\n'
+        '  ],\n'
+        '  "mixed": [\n'
+        '    1,\n'
+        '    {\n'
+        '      "k": [\n'
+        '        {}\n'
+        '      ]\n'
+        '    }\n'
+        '  ],\n'
+        '  "empty": {}\n'
+        '}\n')),
+])
+def test_document_layout_is_pinned(value, text):
+    # the archive and report bytes depend on this layout, byte for byte
+    assert docio.dumps_document(value) == text
+    assert docio.loads_document(text) == json.loads(json.dumps(value))
