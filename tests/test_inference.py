@@ -16,7 +16,7 @@ from sigarchive import (
     classify_batch,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic, split_holdout
-from sigarchive.inference import BatchFailure, project
+from sigarchive.inference import BatchFailure, _cosines, project
 
 AXES = np.eye(4)[:, :3]  # e0, e1, e2 as unit signature columns
 
@@ -67,6 +67,23 @@ class TestProject:
     def test_non_finite_entries_rejected(self, axis_archive):
         with pytest.raises(ValidationError):
             project(np.array([1.0, math.inf, 0.0, 0.0]), axis_archive)
+
+
+class TestScore:
+    """The confidence score: the row-wise cosine of a sample with its
+    reconstruction, clipped to [0, 1]."""
+
+    def test_parallel_vectors_score_one(self):
+        value = _cosines(np.array([[1.0, 2.0, 3.0]]), np.array([[3.0, 6.0, 9.0]]))
+        assert value[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_reconstruction_scores_zero(self):
+        assert _cosines(np.array([[1.0, 2.0]]), np.zeros((1, 2)))[0] == 0.0
+
+    def test_known_angle(self):
+        # cos between [1,0] and [1,1] is 1/sqrt(2)
+        value = _cosines(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
+        assert value[0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 class TestClassify:
