@@ -268,7 +268,10 @@ def assign_clusters(pair: FactorPair) -> np.ndarray:
     mixing matrix with the largest activity (lowest index on ties), or -1
     for samples whose activities are all exactly zero.
     """
-    h = normalize_factor_pair(pair).h
+    return _dominant_rows(normalize_factor_pair(pair).h)
+
+
+def _dominant_rows(h: np.ndarray) -> np.ndarray:
     assignment = np.argmax(h, axis=0).astype(np.int64)
     assignment[h.max(axis=0) == 0.0] = -1
     return assignment
@@ -353,7 +356,7 @@ def build_archive(
         except SigArchiveError:
             return stop(REASON_DEGENERATE)
 
-        assignment = assign_clusters(pair)
+        assignment = _dominant_rows(pair.h)  # pair is normalized already
         cluster_reports: list[ClusterReport] = []
         recursions: list[tuple[np.ndarray, str]] = []
 

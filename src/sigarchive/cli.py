@@ -73,9 +73,23 @@ def _unit_fraction(text: str) -> float:
     return value
 
 
-def _sibling_path(path, suffix: str) -> Path:
-    p = Path(path)
-    return p.with_name(p.stem + suffix)
+def _second_path(flag: str, first, second_flag: str, second, suffix: str):
+    """``second``, or ``first``'s sibling with ``suffix``; refused if both name one file."""
+    path = second or Path(first).with_name(Path(first).stem + suffix)
+    if Path(path).resolve() == Path(first).resolve():
+        raise ValidationError(f"{flag} {first} and {second_flag} {second} name the same file")
+    return path
+
+
+def _write_outputs(*writes) -> None:
+    """Run each ``(path, write)`` in turn; if one fails, unlink every path tried."""
+    for i, (path, write) in enumerate(writes):
+        try:
+            write(path)
+        except BaseException:
+            for tried, _ in writes[:i + 1]:
+                Path(tried).unlink(missing_ok=True)
+            raise
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -108,6 +122,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     from .archive import BuildConfig
     from .rank import EnsembleConfig
 
+    report_path = _second_path("--archive", args.archive, "--report", args.report, ".report.json")
     dataset = dataio.load_csv(args.features, args.labels)
     normalized, params = dataio.normalize(dataset, args.normalization)
     cfg = BuildConfig(
@@ -124,23 +139,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         seed=args.seed,
     )
-    report_path = args.report if args.report else _sibling_path(args.archive, ".report.json")
-    attempted: list[Path] = []
-    try:
-        archive, report = _stage("build_archive")(normalized.features, normalized.labels,
-                                                  cfg, workers=args.workers)
-        # The scaling fitted at build time travels inside the archive so
-        # cmd_classify can apply the identical transform to new samples.
-        archive = replace(archive, build_config={**archive.build_config,
-                                                 "normalization": params.to_snapshot()})
-        attempted.append(Path(args.archive))
-        _stage("save_archive")(archive, args.archive)
-        attempted.append(Path(report_path))
-        docio.write_document(report.to_document(), report_path)
-    except BaseException:
-        for p in attempted:
-            p.unlink(missing_ok=True)
-        raise
+    archive, report = _stage("build_archive")(normalized.features, normalized.labels,
+                                              cfg, workers=args.workers)
+    # The scaling fitted at build time travels inside the archive so
+    # cmd_classify can apply the identical transform to new samples.
+    archive = replace(archive, build_config={**archive.build_config,
+                                             "normalization": params.to_snapshot()})
+    _write_outputs((args.archive, lambda path: _stage("save_archive")(archive, path)),
+                   (report_path, lambda path: docio.write_document(report.to_document(), path)))
     print(f"archived {len(archive.entries)} signatures covering "
           f"{report.n_archived}/{report.n_samples} samples; "
           f"{report.n_unresolved} unresolved ({args.archive}, {report_path})")
@@ -184,6 +190,7 @@ _NOVEL_VALUES = {"0": False, "false": False, "1": True, "true": True}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    curve_path = _second_path("--report", args.report, "--curve", args.curve, ".curve.csv")
     preds = docio.read_table(args.predictions, _PREDICTION_HEADER)
     if not preds:
         raise ValidationError(f"{args.predictions}: no prediction rows")
@@ -223,13 +230,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_predictions(decisions, predicted, scores,
                                   [truth_of[sid][0] for sid in preds],
                                   [truth_of[sid][1] for sid in preds])
-    docio.write_document(report.to_document(), args.report)
-    curve_path = args.curve if args.curve else _sibling_path(args.report, ".curve.csv")
-    docio.write_rows(curve_path, [list(_CURVE_HEADER)] + [
-        [docio.format_float(p.threshold), docio.format_float(p.coverage),
-         docio.format_float(p.risk)]
-        for p in report.rc_curve
-    ])
+    # each curve value is rendered once, for report.json and the curve table (a
+    # number needs no CSV quoting); the document never builds its float rows
+    curve = docio.Records(_CURVE_HEADER, [
+        tuple(map(docio.format_float, (p.threshold, p.coverage, p.risk)))
+        for p in report.rc_curve])
+    document = {**replace(report, rc_curve=()).to_document(), "rc_curve": curve}
+    table = "".join(",".join(row) + "\n" for row in (curve.keys, *curve.rows))
+    _write_outputs((args.report, lambda path: docio.write_document(document, path)),
+                   (curve_path, lambda path: docio.write_atomic(path, table)))
 
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"

@@ -2,7 +2,9 @@
 
 The document format is plain JSON with two extra guarantees: mapping keys are
 emitted in insertion order, and every float is rendered with 17 significant
-digits so that a load/save cycle is bit-exact and byte-identical.  Tables are
+digits so that a load/save cycle is bit-exact and byte-identical.  Lists of
+same-keyed mappings go through one template per list; ``Records`` holds such
+a list's values already rendered, so a table can share them.  Tables are
 UTF-8 CSV with newline-terminated rows.  This module imports no numpy.
 """
 
@@ -14,6 +16,7 @@ import json
 import math
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ArchiveFormatError, ValidationError
 
@@ -35,16 +38,31 @@ def format_float(value: float) -> str:
     return text
 
 
+class Records(NamedTuple):
+    """A list of mappings with the same nonempty ``keys``, as ``rows`` of value JSON text."""
+
+    keys: tuple[str, ...]
+    rows: list
+
+
 def _emit(value, indent: int) -> str:
     if isinstance(value, dict):
         brackets = "{}"
         items = [f"{json.dumps(str(key))}: {_emit(item, indent + 1)}"
                  for key, item in value.items()]
+    elif isinstance(value, Records):  # one template per list renders every record
+        inner = "\n" + "  " * (indent + 2)
+        cells = (json.dumps(str(key)).replace("%", "%%") + ": %s" for key in value.keys)
+        template = "{" + inner + ("," + inner).join(cells) + inner[:-2] + "}"
+        brackets, items = "[]", [template % tuple(row) for row in value.rows]
     elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float, str, bool)) or v is None for v in value):
             return "[" + ", ".join(_scalar(v) for v in value) + "]"
-        brackets = "[]"
-        items = [_emit(item, indent + 1) for item in value]
+        keys = tuple(value[0]) if isinstance(value[0], dict) else ()
+        if keys and all(isinstance(v, dict) and tuple(v) == keys for v in value):
+            cells = [[_emit(c, indent + 2) for c in v.values()] for v in value]
+            return _emit(Records(keys, cells), indent)
+        brackets, items = "[]", [_emit(item, indent + 1) for item in value]
     else:
         return _scalar(value)
     if not items:

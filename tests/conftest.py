@@ -6,6 +6,7 @@ implementations are checked against a second, structurally different route.
 """
 
 import itertools
+import json
 import math
 import os
 from fractions import Fraction
@@ -16,7 +17,7 @@ import numpy as np
 
 from sigarchive import (ArchiveEntry, FeatureMatrix, RiskCoveragePoint, SignatureArchive,
                         SolverOptions)
-from sigarchive import linalg
+from sigarchive import docio, linalg
 from sigarchive.seeding import STREAM_NMF_INIT, generator
 
 
@@ -174,3 +175,26 @@ def risk_coverage_curve_numpy(scores, predicted, truth, novel):
     errors = [0, *wrong[last].tolist(), int(wrong[-1])]
     return tuple(RiskCoveragePoint(t, c / m, e / c if c else 0.0)
                  for t, c, e in zip(thresholds, counts, errors))
+
+
+def dumps_document_recursive(value) -> str:
+    """``docio.dumps_document`` as it was before record lists had their own
+    path: one recursion for mappings and lists, ``json.dumps`` per key."""
+    def emit(value, indent):
+        if isinstance(value, dict):
+            brackets = "{}"
+            items = [f"{json.dumps(str(key))}: {emit(item, indent + 1)}"
+                     for key, item in value.items()]
+        elif isinstance(value, (list, tuple)):
+            if all(isinstance(v, (int, float, str, bool)) or v is None for v in value):
+                return "[" + ", ".join(docio._scalar(v) for v in value) + "]"
+            brackets = "[]"
+            items = [emit(item, indent + 1) for item in value]
+        else:
+            return docio._scalar(value)
+        if not items:
+            return brackets
+        pad = "\n" + "  " * indent
+        return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+
+    return emit(value, 0) + "\n"

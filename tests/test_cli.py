@@ -141,6 +141,16 @@ class TestBuild:
         assert not (tmp_path / "flat.json").exists()
         assert not (tmp_path / "flat.report.json").exists()
 
+    def test_archive_and_report_on_one_path_exit_2(self, workspace, tmp_path):
+        (tmp_path / "sub").mkdir()
+        result = run(("build", "--features", workspace / "features.csv",
+                      "--labels", workspace / "labels.csv", "--archive", "a.json",
+                      "--report", "sub/../a.json"), tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "--archive a.json and --report sub/../a.json name the same file" \
+            in result.stderr
+        assert not (tmp_path / "a.json").exists()
+
 
 class TestClassify:
     def test_training_samples_come_back_correct(self, workspace):
@@ -366,8 +376,35 @@ class TestEvaluate:
         assert f"p.csv: row 3: score is not a finite number: {text!r}" in result.stderr
         assert not (tmp_path / "rep.json").exists()
 
+    def test_report_and_curve_on_one_path_exit_2(self, tmp_path):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "s.json", "--curve", "./s.json"), tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "--report s.json and --curve ./s.json name the same file" in result.stderr
+        assert not (tmp_path / "s.json").exists()
 
-class TestDeterminism:
+    def test_unwritable_curve_leaves_no_report(self, tmp_path):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "rep.json", "--curve", "missing/c.csv"), tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.csv"]
+
+    def test_report_curve_cells_are_the_curve_tables_text(self, tmp_path):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        preds = tmp_path / "p.csv"
+        preds.write_text(preds.read_text().replace(",0.3,", ",-0.0,"))
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "rep.json"), tmp_path)
+        assert result.returncode == 0, result.stderr
+        doc = json.loads((tmp_path / "rep.json").read_text(), parse_float=str)
+        table = read_rows(tmp_path / "rep.curve.csv")
+        assert doc["rc_curve"] == table
+        assert [row["threshold"] for row in table] == ["1.99", "0.98999999999999999",
+                                                       "0.97999999999999998", "-0.0", "-1.0"]
+
     def pipeline(self, root):
         for args in (
             SYNTH_ARGS,

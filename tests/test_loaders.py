@@ -9,9 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import toy_archive
+from conftest import dumps_document_recursive, toy_archive
 from sigarchive import ArchiveFormatError, ValidationError, load_archive, save_archive
 from sigarchive import dataio, docio
 from sigarchive.dataio import (
@@ -360,3 +360,58 @@ def test_document_layout_is_pinned(value, text):
     # the archive and report bytes depend on this layout, byte for byte
     assert docio.dumps_document(value) == text
     assert docio.loads_document(text) == json.loads(json.dumps(value))
+
+
+_DOC_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 2.0, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+# few keys, so that mappings often share them; "%" and non-ASCII on purpose
+_DOC_KEYS = st.sampled_from(["a", "b", "risk", "ü", "☃ k", "%", "%s", '"', "\\"])
+
+
+@st.composite
+def _record_lists(draw, values):
+    """Mappings that share their keys in one order, or, one record in a
+    list, that differ in one way: reordered, nested, missing or extra keys."""
+    keys = draw(st.lists(_DOC_KEYS, max_size=4, unique=True))
+    records = [dict(zip(keys, row)) for row in draw(st.lists(
+        st.lists(_DOC_SCALARS, min_size=len(keys), max_size=len(keys)),
+        min_size=1, max_size=4))]
+    record = draw(st.sampled_from(records))
+    change = draw(st.sampled_from(["none", "reorder", "nest", "drop", "extra"]))
+    if change == "reorder":
+        items = list(record.items())
+        record.clear()
+        record.update(reversed(items))
+    elif change == "nest" and keys:
+        record[keys[0]] = draw(values)
+    elif change == "drop" and keys:
+        del record[keys[-1]]
+    elif change == "extra":
+        record.setdefault("extra", draw(_DOC_SCALARS))
+    return records
+
+
+_DOCUMENTS = st.recursive(_DOC_SCALARS, lambda values: st.one_of(
+    st.lists(values, max_size=4), st.lists(values, max_size=3).map(tuple),
+    st.dictionaries(_DOC_KEYS, values, max_size=4), _record_lists(values)), max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=_DOCUMENTS)
+@example(value=[{}])
+@example(value={"rows": [{"a": -0.0, "b": 5e-324}, {"a": 1e300, "b": 2.0}]})
+def test_dumps_document_writes_the_recursive_emitters_bytes(value):
+    assert docio.dumps_document(value) == dumps_document_recursive(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(keys=st.lists(_DOC_KEYS, min_size=1, max_size=4, unique=True),
+       rows=st.lists(st.lists(_DOC_SCALARS, min_size=4, max_size=4), max_size=4))
+def test_records_write_the_bytes_of_their_mappings(keys, rows):
+    mappings = [dict(zip(keys, row)) for row in rows]
+    cells = [[docio._scalar(v) for v in m.values()] for m in mappings]
+    document = {"n": 1, "rows": docio.Records(tuple(keys), cells)}
+    assert (docio.dumps_document(document)
+            == dumps_document_recursive({"n": 1, "rows": mappings}))
