@@ -405,6 +405,8 @@ class TestEvaluate:
         assert [row["threshold"] for row in table] == ["1.99", "0.98999999999999999",
                                                        "0.97999999999999998", "-0.0", "-1.0"]
 
+
+class TestDeterminism:
     def pipeline(self, root):
         for args in (
             SYNTH_ARGS,
