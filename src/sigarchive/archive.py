@@ -287,8 +287,8 @@ def build_archive(
     """Build a labeled signature archive from training data.
 
     ``workers`` above 1 runs the ensemble members of every rank scan in one
-    forked pool of ``min(workers, usable CPUs, the first scan's jobs)``
-    processes, stopped however the build ends; no output depends on it.
+    forked pool of ``min(workers, usable CPUs, members per rank)`` processes,
+    stopped however the build ends; no output depends on it.
 
     Raises
     ------
@@ -309,11 +309,11 @@ def build_archive(
     node_reports: list[NodeReport] = []
     pool = None
 
-    def members_mapper(ens: EnsembleConfig):
+    def members_mapper():
         nonlocal pool
-        jobs = (ens.k_max - ens.k_min + 1) * ens.n_perturbations
-        if (pool is None and workers > 1
-                and (n := min(workers, len(os.sched_getaffinity(0)), jobs)) > 1):
+        # A scan queues one rank's members at a time, so more workers would idle.
+        if (pool is None and workers > 1 and (n := min(
+                workers, len(os.sched_getaffinity(0)), cfg.ensemble.n_perturbations)) > 1):
             import multiprocessing  # ~15 ms, paid only by builds that fork
             # The workers ignore SIGINT: an interrupt stops the build, which stops them.
             pool = multiprocessing.get_context("fork").Pool(
@@ -350,7 +350,7 @@ def build_archive(
             ens = replace(cfg.ensemble, k_min=k_min, k_max=k_max, base_seed=seed)
         try:
             if ens is not None:
-                report = select_rank(sub, ens, mapper=members_mapper(ens))
+                report = select_rank(sub, ens, mapper=members_mapper())
                 k, rule, per_k = report.selected_k, report.selection_rule_fired, report.per_k
             pair = normalize_factor_pair(nmf_factorize(sub, k, seed))
         except SigArchiveError:

@@ -5,7 +5,7 @@ Four subcommands wire the pipeline end to end.  Exit codes are stable:
 Input CSV tables need a header row, one cell per column, unique first-column
 ids and the same ids in paired files; the first bad row or cell is named
 (exit 2).  All randomness flows from ``--seed``.  ``build --workers N`` runs
-rank selection's ensemble members in ``min(N, usable CPUs, first-scan jobs)``
+rank selection's ensemble members in ``min(N, usable CPUs, members per rank)``
 processes (on the calling thread if 1); it never changes any output byte.
 
 Each subcommand imports only what it runs, so ``evaluate`` never loads numpy.
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                    help="processes for the rank-selection ensemble, at most min(N, "
-                        "usable CPUs, first-scan jobs); 1 runs it on the calling "
+                        "usable CPUs, members per rank); 1 runs it on the calling "
                         "thread; outputs are identical for any value")
     p.set_defaults(handler=cmd_build)
 

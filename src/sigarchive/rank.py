@@ -3,8 +3,11 @@
 For each candidate rank, a batch of multiplicatively perturbed copies of the
 input is factorized, the resulting signature columns are matched across
 ensemble members, and the stability of the matched clusters is summarized
-with cosine-distance silhouettes.  The selected rank is the largest one whose
-least stable cluster still clears the silhouette threshold.
+with cosine-distance silhouettes.  A rank is stable when its least stable
+cluster clears the silhouette threshold.  Ranks are scanned upward, one at a
+time; once some rank k >= 2 is stable, the scan stops at the next unstable
+rank, so the ranks above it are never factorized.  The selected rank is the
+largest stable rank scanned.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,9 +92,6 @@ class RankSelectionReport:
                 raise ValidationError(f"silhouette out of range at k={s.k}")
         if self.selection_rule_fired not in (RULE_THRESHOLD, RULE_FALLBACK, RULE_FORCED):
             raise ValidationError(f"unknown selection rule {self.selection_rule_fired!r}")
-
-    def stats_for(self, k: int) -> RankStats:
-        return self.per_k[k - self.per_k[0].k]
 
 
 def perturb(x: FeatureMatrix, epsilon: float, seed: int) -> FeatureMatrix:
@@ -209,17 +208,20 @@ def select_rank(
     solver: SolverOptions = SolverOptions(),
     mapper: Callable = map,
 ) -> RankSelectionReport:
-    """Scan ``[cfg.k_min, cfg.k_max]`` and pick the largest stable rank.
+    """Scan ranks upward from ``cfg.k_min`` and pick the largest stable rank.
 
-    A rank qualifies when the minimum cluster silhouette of its matched
+    A rank is stable when the minimum cluster silhouette of its matched
     ensemble reaches ``cfg.silhouette_threshold`` (rank 1 scores 1 by
-    convention).  If no rank qualifies the best-silhouette rank is returned
-    with the fallback rule flagged; a single-candidate scan is flagged as
-    forced.
+    convention).  Once some rank k >= 2 is stable, the scan stops at the next
+    unstable rank; rank 1 alone never stops it.  So ``per_k`` runs from
+    ``cfg.k_min`` to ``cfg.k_max`` or to that stopping rank, and a scan that
+    ends below ``cfg.k_max`` ended on an unstable rank after a stable k >= 2.
+    If no rank qualifies the best-silhouette rank is returned with the
+    fallback rule flagged; a single-candidate scan is flagged as forced.
 
-    ``mapper(_member, jobs)`` runs the (k, member) factorizations and yields
-    their results in job order: ``map`` on the calling thread, or a process
-    pool's ``imap``.  The report does not depend on which.
+    ``mapper(_member, jobs)`` runs one rank's member factorizations and
+    yields their results in job order: ``map`` on the calling thread, or a
+    process pool's ``imap``.  The report does not depend on which.
     """
     n, m = x.values.shape
     if cfg.k_max > min(n, m):
@@ -229,14 +231,12 @@ def select_rank(
     perturbed = [perturb(x, cfg.noise_epsilon, cfg.base_seed + i)
                  for i in range(cfg.n_perturbations)]
     norms = [frobenius_norm(p.values) for p in perturbed]
-    ranks = range(cfg.k_min, cfg.k_max + 1)
-    results = mapper(_member, [(p, k, cfg.base_seed + i, solver)
-                               for k in ranks for i, p in enumerate(perturbed)])
-
     stats: list[RankStats] = []
-    for k in ranks:
-        pairs = [(i, fp) for i, fp in enumerate(islice(results, cfg.n_perturbations))
-                 if isinstance(fp, FactorPair)]
+    stable_above_one = False
+    for k in range(cfg.k_min, cfg.k_max + 1):
+        results = mapper(_member, [(p, k, cfg.base_seed + i, solver)
+                                   for i, p in enumerate(perturbed)])
+        pairs = [(i, fp) for i, fp in enumerate(results) if isinstance(fp, FactorPair)]
         failed = cfg.n_perturbations - len(pairs)
         if len(pairs) < 2:
             raise DegenerateInputError(
@@ -252,6 +252,10 @@ def select_rank(
         stops = Counter(fp.stop for _, fp in pairs)
         stats.append(RankStats(k, min_sil, mean_sil, mean_err,
                                *(stops[r] for r in STOP_REASONS), failed))
+        if min_sil >= cfg.silhouette_threshold:
+            stable_above_one |= k >= 2
+        elif stable_above_one:
+            break
 
     for prev, cur in zip(stats, stats[1:]):
         if cur.mean_relative_error > prev.mean_relative_error * (1 + _ERROR_SLACK):

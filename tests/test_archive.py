@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from sigarchive import (
     save_archive,
 )
 from sigarchive.archive import (
+    _NODE_K_CAP,
     REASON_NODE_TOO_SMALL,
     REASON_ZERO_ACTIVITY,
     assign_clusters,
@@ -252,13 +254,41 @@ class TestBuildArchive:
             assert sum(members.values()) == 8  # n_perturbations
 
 
+    def test_report_says_where_and_why_a_scan_stopped(self):
+        # A scan that stopped lists ranks from k_min up to one below its k_max;
+        # the last is unstable, an earlier k >= 2 is stable, and the build
+        # config holds the threshold that decides both.
+        data, _ = generate_synthetic(SynthSpec(
+            n_features=24, n_classes=3, samples_per_class=20,
+            signature_overlap=0.1, noise_sigma=0.02, seed=11))
+        archive, report = build_archive(data.features, data.labels,
+                                        small_build_config(min_cluster_size=5))
+        ens = archive.build_config["ensemble"]
+        stopped = 0
+        for node in report.to_document()["nodes"]:
+            if node["per_k"] is None:
+                continue
+            k_max = min(ens["k_max"], archive.n_features, node["size"] - 1, _NODE_K_CAP)
+            ks = [s["k"] for s in node["per_k"]]
+            assert ks == list(range(min(ens["k_min"], k_max), ks[-1] + 1))
+            stable = [s["min_silhouette"] >= ens["silhouette_threshold"]
+                      for s in node["per_k"]]
+            if ks[-1] < k_max:
+                stopped += 1
+                assert not stable[-1]
+                assert any(ok and k >= 2 for k, ok in zip(ks, stable))
+                assert node["selection_rule"] == "threshold"
+                assert node["selected_k"] == max(k for k, ok in zip(ks, stable) if ok)
+        assert stopped
+
+
 class TestBuildWorkers:
     """``build_archive(workers=N)`` runs ensemble members in one process pool."""
 
     DATA, _ = generate_synthetic(SynthSpec(n_features=12, n_classes=3,
                                            samples_per_class=20, seed=5))
     CFG = BuildConfig(ensemble=EnsembleConfig(k_min=1, k_max=3, n_perturbations=4),
-                      min_cluster_size=5)   # root scan: 3 ranks x 4 members
+                      min_cluster_size=5)   # root scan: up to 3 ranks x 4 members
 
     def build(self, workers):
         return build_archive(self.DATA.features, self.DATA.labels, self.CFG,
@@ -283,12 +313,34 @@ class TestBuildWorkers:
         monkeypatch.setattr(multiprocessing, "get_context",
                             {"fork": SimpleNamespace(Pool=Pool)}.__getitem__)
         serial = self.build(1)
-        for cpus, workers, pool in ((3, 100_000, [3]), (64, 100_000, [12]),
+        # a scan queues one rank's 4 members at a time, so the pool never needs more
+        for cpus, workers, pool in ((3, 100_000, [3]), (64, 100_000, [4]),
                                     (64, 2, [2]), (1, 8, []), (64, 1, [])):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             made.clear()
             assert self.build(workers) == serial
             assert made == pool, (cpus, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_member_runs_above_the_stop(self, workers, monkeypatch, tmp_path):
+        # every scan sees rank 2 stable and rank 3 not, so none may reach rank 4
+        log, real = tmp_path / "ranks", rank.nmf_factorize
+
+        def logged(x, k, seed, opts):  # appends from the pool's processes too
+            with open(log, "a") as fh:
+                fh.write(f"{k}\n")
+            return real(x, k, seed, opts)
+
+        monkeypatch.setattr(rank, "nmf_factorize", logged)
+        monkeypatch.setattr(rank, "ensemble_stability", lambda clusters: (
+            {1: 1.0, 2: 0.9, 3: 0.2}.get(len(clusters), 0.9),) * 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = replace(self.CFG, ensemble=replace(self.CFG.ensemble, k_max=5))
+        _, report = build_archive(self.DATA.features, self.DATA.labels, cfg, workers=workers)
+        scans = [nd.per_k for nd in report.nodes if nd.per_k is not None]
+        assert scans and all([s.k for s in per_k] == [1, 2, 3] for per_k in scans)
+        assert sorted(map(int, log.read_text().split())) == sorted(
+            s.k for per_k in scans for s in per_k for _ in range(4))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_member_errors_propagate_with_their_type(self, workers, monkeypatch):

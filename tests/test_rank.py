@@ -221,7 +221,7 @@ class TestSelectRank:
         x = fm(np.outer([1.0, 2.0, 0.5, 1.5], [2.0, 1.0, 3.0, 0.5, 1.0, 2.5]))
         report = select_rank(x, EnsembleConfig(k_min=1, k_max=3, **FAST))
         assert report.selected_k == 1
-        assert report.stats_for(1).min_silhouette == 1.0
+        assert report.per_k[0].k == 1 and report.per_k[0].min_silhouette == 1.0
 
     def test_forced_single_candidate(self):
         x = fm(np.random.default_rng(1).random((5, 8)) + 0.1)
@@ -249,10 +249,18 @@ class TestSelectRank:
         assert select_rank(x, cfg) == select_rank(x, cfg)
 
     def test_scan_covers_range_and_rule_is_known(self):
-        x = fm(np.random.default_rng(5).random((6, 20)) + 0.05)
-        report = select_rank(x, EnsembleConfig(k_min=2, k_max=4, **FAST))
-        assert [s.k for s in report.per_k] == [2, 3, 4]
-        assert report.selection_rule_fired in (RULE_THRESHOLD, RULE_FALLBACK)
+        cfg = EnsembleConfig(k_min=2, k_max=4, **FAST)
+        for seed in range(5):
+            x = fm(np.random.default_rng(seed).random((6, 20)) + 0.05)
+            report = select_rank(x, cfg)
+            ks = [s.k for s in report.per_k]
+            assert ks == list(range(2, ks[-1] + 1))
+            stable = [s.min_silhouette >= cfg.silhouette_threshold for s in report.per_k]
+            if ks[-1] < cfg.k_max:  # stopped: an unstable rank after a stable one
+                assert not stable[-1] and any(stable[:-1])
+            else:
+                assert not any(a and not b for a, b in zip(stable, stable[1:-1]))
+            assert report.selection_rule_fired in (RULE_THRESHOLD, RULE_FALLBACK)
 
     def test_k_max_too_large_rejected(self):
         x = fm(np.ones((2, 3)))
@@ -304,3 +312,56 @@ class TestSelectRank:
         x = FeatureMatrix(np.zeros((3, 4)), tuple(f"s{i}" for i in range(4)))
         with pytest.raises(DegenerateInputError):
             select_rank(x, EnsembleConfig(k_min=1, k_max=2, **FAST))
+
+
+class TestStopRule:
+    """Scripted silhouettes: ``ensemble_stability`` returns a set value per rank."""
+
+    X = fm(np.random.default_rng(4).random((8, 20)) + 0.05)
+
+    def scan(self, monkeypatch, silhouettes, k_min=1, k_max=6):
+        monkeypatch.setattr(rank_module, "ensemble_stability",
+                            lambda clusters: (silhouettes[len(clusters)],) * 2)
+        report = select_rank(self.X, EnsembleConfig(k_min=k_min, k_max=k_max,
+                                                    n_perturbations=3))
+        return [s.k for s in report.per_k], report.selected_k, report.selection_rule_fired
+
+    def test_stable_then_unstable_stops_the_scan(self, monkeypatch):
+        got = self.scan(monkeypatch, {1: 1.0, 2: 0.9, 3: 0.8, 4: 0.2, 5: 0.99, 6: 0.99})
+        assert got == ([1, 2, 3, 4], 3, RULE_THRESHOLD)
+
+    def test_rank_one_alone_never_stops_it(self, monkeypatch):
+        got = self.scan(monkeypatch, {1: 1.0, 2: 0.1, 3: 0.9, 4: 0.3, 5: 0.99, 6: 0.99})
+        assert got == ([1, 2, 3, 4], 3, RULE_THRESHOLD)
+        got = self.scan(monkeypatch, {1: 1.0, 2: 0.1, 3: 0.2, 4: 0.3, 5: 0.2, 6: 0.1})
+        assert got == ([1, 2, 3, 4, 5, 6], 1, RULE_THRESHOLD)
+
+    def test_no_stable_rank_above_one_scans_everything(self, monkeypatch):
+        got = self.scan(monkeypatch, {2: 0.1, 3: 0.5, 4: 0.3, 5: 0.5, 6: 0.2}, k_min=2)
+        assert got == ([2, 3, 4, 5, 6], 3, RULE_FALLBACK)
+
+    def test_stable_k_min_above_one_starts_the_stop(self, monkeypatch):
+        got = self.scan(monkeypatch, {2: 0.9, 3: 0.4, 4: 0.95, 5: 0.95, 6: 0.95}, k_min=2)
+        assert got == ([2, 3], 2, RULE_THRESHOLD)
+
+    def test_stable_ranks_up_to_k_max_scan_everything(self, monkeypatch):
+        got = self.scan(monkeypatch, {1: 1.0, 2: 0.9, 3: 0.8, 4: 0.9, 5: 0.2, 6: 0.99})
+        assert got == ([1, 2, 3, 4, 5], 4, RULE_THRESHOLD)
+        got = self.scan(monkeypatch, {1: 1.0, 2: 0.9, 3: 0.8, 4: 0.9, 5: 0.9, 6: 0.99})
+        assert got == ([1, 2, 3, 4, 5, 6], 6, RULE_THRESHOLD)
+
+    def test_forced_scan_is_unchanged(self, monkeypatch):
+        for sil in (0.1, 0.9):
+            got = self.scan(monkeypatch, {3: sil}, k_min=3, k_max=3)
+            assert got == ([3], 3, RULE_FORCED)
+
+    def test_no_member_runs_above_the_stop(self, monkeypatch):
+        real, ranks = rank_module.nmf_factorize, []
+
+        def counted(x, k, seed, opts):
+            ranks.append(k)
+            return real(x, k, seed, opts)
+
+        monkeypatch.setattr(rank_module, "nmf_factorize", counted)
+        self.scan(monkeypatch, {1: 1.0, 2: 0.9, 3: 0.2, 4: 0.9, 5: 0.9, 6: 0.9})
+        assert ranks == [k for k in (1, 2, 3) for _ in range(3)]
