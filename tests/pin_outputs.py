@@ -83,7 +83,7 @@ def _run(args, cwd: Path) -> None:
     proc = subprocess.run([sys.executable, "-m", "sigarchive.cli", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(args[:1])} exited {proc.returncode}: {proc.stderr}")
+        raise RuntimeError(f"{args[0]} exited {proc.returncode}: {proc.stderr}")
 
 
 def _digests(root: Path, names) -> dict[str, str]:

@@ -253,7 +253,6 @@ class TestBuildArchive:
             assert members["converged"] == stats.members_converged
             assert sum(members.values()) == 8  # n_perturbations
 
-
     def test_report_says_where_and_why_a_scan_stopped(self):
         # A scan that stopped lists ranks from k_min up to one below its k_max;
         # the last is unstable, an earlier k >= 2 is stable, and the build
