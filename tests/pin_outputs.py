@@ -5,6 +5,9 @@ Run ``python tests/pin_outputs.py`` from the repository root to rewrite
 
 - a small seeded round trip: ``synth``, ``build`` at ``--workers 1`` and at
   ``--workers 2``, ``classify`` and ``evaluate``;
+- a seeded ``synth``, ``build`` and ``classify`` of eight overlapping, noisy
+  classes, whose archive holds ten signatures, so that the NNLS projection
+  meets passive sets of many sizes;
 - ``evaluate`` on two hand-written prediction/truth pairs.
 
 It records the digest of every output file and the environment the digests
@@ -51,6 +54,16 @@ ROUND_TRIP = (
 ROUND_TRIP_OUTPUTS = ("features.csv", "labels.csv", "truth.json", "arc.json",
                       "arc.report.json", "arc.w2.json", "arc.w2.report.json",
                       "predictions.csv", "report.json", "report.curve.csv")
+MANY_SIGNATURES = (
+    ("synth", "--n-features", "32", "--n-classes", "8", "--samples-per-class", "12",
+     "--overlap", "0.3", "--noise", "0.1", "--seed", "12"),
+    ("build", "--features", "features.csv", "--labels", "labels.csv",
+     "--archive", "arc.json", "--k-min", "1", "--k-max", "9",
+     "--n-perturbations", "4", "--min-cluster-size", "4", "--seed", "0"),
+    ("classify", "--archive", "arc.json", "--features", "features.csv",
+     "--output", "predictions.csv", "--threshold", "0.95"),
+)
+MANY_SIGNATURES_OUTPUTS = ("arc.json", "predictions.csv")
 
 _PREDICTION_HEADER = "sample_id,decision,label,score,attribution\n"
 HAND_CASES = {
@@ -91,14 +104,20 @@ def _digests(root: Path, names) -> dict[str, str]:
 
 
 def round_trip_digests(root: Path) -> dict[str, str]:
-    """Digests of the round trip's outputs, written under ``root``."""
+    """Digests of both round trips' outputs, written under ``root``; the
+    many-signature trip's names start with ``many/``."""
     for args in ROUND_TRIP:
         if args[0] == "evaluate":  # truth table: every training label, none novel
             lines = (root / "labels.csv").read_text().splitlines()[1:]
             (root / "truth.csv").write_text(
                 "sample_id,label,novel\n" + "".join(f"{line},0\n" for line in lines))
         _run(args, root)
-    return _digests(root, ROUND_TRIP_OUTPUTS)
+    many = root / "many"
+    many.mkdir()
+    for args in MANY_SIGNATURES:
+        _run(args, many)
+    return {**_digests(root, ROUND_TRIP_OUTPUTS),
+            **{f"many/{n}": d for n, d in _digests(many, MANY_SIGNATURES_OUTPUTS).items()}}
 
 
 def hand_digests(root: Path) -> dict[str, str]:
