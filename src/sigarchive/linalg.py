@@ -335,21 +335,27 @@ def _combine(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _solve_on_sets(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
     """Least-squares solution of every row of ``c`` on its passive set (the
-    same row of ``passive``), zero elsewhere.  Rows sharing a set share one
-    stacked solve, one LAPACK gesv per row, so no row's bits depend on how
-    many share it; a singular set gets the minimum-norm solution."""
+    same row of ``passive``), zero elsewhere.  Rows whose sets have the same
+    size share one stacked LAPACK call, one gesv per row on that row's own
+    Gram block, so no row's bits depend on which rows share it.  If a block
+    of that size is singular, the size's rows are solved one at a time, and
+    each singular one gets the minimum-norm solution."""
     z = np.zeros(c.shape)
-    sets, which = np.unique(passive, axis=0, return_inverse=True)
-    which = which.ravel()
-    for i, in_set in enumerate(sets):
-        rows, cols = np.flatnonzero(which == i)[:, None], np.flatnonzero(in_set)
-        g, rhs = gram[cols[:, None], cols], c[rows, cols]
+    sizes = passive.sum(axis=1)
+    for s in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == s)
+        cols = np.nonzero(passive[rows])[1].reshape(rows.size, s)
+        g, rhs = gram[cols[:, :, None], cols[:, None, :]], c[rows[:, None], cols, None]
         try:
-            sol = np.linalg.solve(np.broadcast_to(g, (rows.size,) + g.shape),
-                                  rhs[..., None])[..., 0]
+            sol = np.linalg.solve(g, rhs)
         except np.linalg.LinAlgError:
-            sol = _rowdot(rhs[:, None, :], np.linalg.pinv(g))
-        z[rows, cols] = sol
+            sol = np.empty(rhs.shape)
+            for i in range(rows.size):
+                try:
+                    sol[i] = np.linalg.solve(g[i:i + 1], rhs[i:i + 1])[0]
+                except np.linalg.LinAlgError:
+                    sol[i, :, 0] = _rowdot(rhs[i, None, :, 0], np.linalg.pinv(g[i]))
+        z[rows[:, None], cols] = sol[..., 0]
     return z
 
 

@@ -83,6 +83,25 @@ def nnls_exhaustive(a, b):
     return best, best_obj
 
 
+def solve_on_sets_per_group(gram, c, passive):
+    """``linalg._solve_on_sets`` as one stacked solve per distinct passive
+    set: rows sharing a set share one broadcast gesv call, and a singular
+    set's rows all get the minimum-norm solution from one ``pinv``."""
+    z = np.zeros(c.shape)
+    sets, which = np.unique(passive, axis=0, return_inverse=True)
+    which = which.ravel()
+    for i, in_set in enumerate(sets):
+        rows, cols = np.flatnonzero(which == i)[:, None], np.flatnonzero(in_set)
+        g, rhs = gram[cols[:, None], cols], c[rows, cols]
+        try:
+            sol = np.linalg.solve(np.broadcast_to(g, (rows.size,) + g.shape),
+                                  rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            sol = linalg._rowdot(rhs[:, None, :], np.linalg.pinv(g))
+        z[rows, cols] = sol
+    return z
+
+
 def nmf_every_sweep(x: FeatureMatrix, k: int, seed: int,
                     opts: SolverOptions = SolverOptions()) -> SimpleNamespace:
     """Reference NMF that evaluates the residual after every sweep.

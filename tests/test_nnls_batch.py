@@ -2,14 +2,15 @@
 
 A target's solution must have the same bits alone (``nnls_solve``, the batch
 of one) as in any batch, and must match exhaustive enumeration; a batch of
-samples must classify as one ``classify`` call per sample, bit for bit.
+samples must classify as one ``classify`` call per sample, bit for bit.  The
+solve on passive sets has the bits of one stacked solve per distinct set.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fm, nnls_exhaustive, toy_archive
+from conftest import fm, nnls_exhaustive, solve_on_sets_per_group, toy_archive
 from sigarchive import (
     InferenceConfig,
     SigArchiveError,
@@ -17,6 +18,7 @@ from sigarchive import (
     classify,
     classify_batch,
     inference,
+    linalg,
     nnls_solve,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic
@@ -143,6 +145,62 @@ class TestNnlsBatch:
         z = _solve_on_sets(gram, c, passive)
         np.testing.assert_allclose(z[0], [0.5 * 2.5, 0.5 * 2.5, 0.0])
         assert z[1].tobytes() == np.array([0.0, 0.0, c[1, 2] / gram[2, 2]]).tobytes()
+
+
+def draw_sets(data):
+    """A Gram matrix of p in 1..16 columns, some of them duplicate or
+    near-parallel so that some sets are singular, and right-hand sides with
+    passive sets of mixed sizes, all-false rows among them, for fewer or
+    more rows than a classify block."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = data.draw(st.integers(1, 16))
+    a = rng.random((p + 3, p))
+    for _ in range(data.draw(st.integers(0, 2)) if p > 1 else 0):
+        i, k = rng.choice(p, 2, replace=False)
+        a[:, k] = a[:, i] + data.draw(st.sampled_from([0.0, 1e-9, 1e-7])) * rng.random(p + 3)
+    m = data.draw(st.sampled_from([1, 7, 100, inference._BLOCK + 37]))
+    passive = rng.random((m, p)) < rng.random((m, 1))
+    return a.T @ a, rng.standard_normal((m, p)), passive
+
+
+class TestSolveOnSets:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_bits_equal_one_solve_per_set(self, data):
+        gram, c, passive = draw_sets(data)
+        assert _solve_on_sets(gram, c, passive).tobytes() == \
+            solve_on_sets_per_group(gram, c, passive).tobytes()
+
+    def test_singular_set_among_regular_sets_of_its_size(self):
+        # columns 0 and 1 are equal: the set {0, 1} is singular, while
+        # {0, 2} and {1, 2} have the same size and regular Gram blocks
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        gram, c = a.T @ a, np.array([[3.0, 3.0, 1.0], [2.0, 2.0, 4.0], [1.0, 1.0, 5.0]])
+        passive = np.array([[False, True, True], [True, True, False], [True, False, True]])
+        z = _solve_on_sets(gram, c, passive)
+        regular = [0, 2]
+        assert z[regular].tobytes() == \
+            _solve_on_sets(gram, c[regular], passive[regular]).tobytes()
+        assert z[1].tobytes() == solve_on_sets_per_group(gram, c, passive)[1].tobytes()
+        np.testing.assert_allclose(z[1], [0.5 * 2.0 / 2.0, 0.5 * 2.0 / 2.0, 0.0])
+
+    def test_one_solve_call_per_set_size(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        a = rng.random((20, 9))
+        passive = rng.random((500, 9)) < rng.random((500, 1))
+        passive[:3] = False
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(linalg.np.linalg, "solve", counted)
+        _solve_on_sets(a.T @ a, rng.standard_normal((500, 9)), passive)
+        sizes = passive.sum(axis=1)
+        assert len(calls) == np.unique(sizes[sizes > 0]).size
+        assert len(np.unique(passive, axis=0)) > 10 * len(calls)
 
 
 @pytest.fixture(scope="module")
