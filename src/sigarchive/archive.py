@@ -261,17 +261,10 @@ def normalize_factor_pair(pair: FactorPair) -> FactorPair:
     return replace(pair, w=w, h=pair.h * divisors[:, None])
 
 
-def assign_clusters(pair: FactorPair) -> np.ndarray:
-    """Dominant-signature index per sample, after column normalization.
-
-    Returns an int array with one entry per sample: the row of the rescaled
-    mixing matrix with the largest activity (lowest index on ties), or -1
-    for samples whose activities are all exactly zero.
-    """
-    return _dominant_rows(normalize_factor_pair(pair).h)
-
-
 def _dominant_rows(h: np.ndarray) -> np.ndarray:
+    """Dominant-signature index per sample of a normalized pair's ``h``: the
+    row with the largest activity (lowest index on ties), or -1 for samples
+    whose activities are all exactly zero."""
     assignment = np.argmax(h, axis=0).astype(np.int64)
     assignment[h.max(axis=0) == 0.0] = -1
     return assignment

@@ -22,7 +22,7 @@ from .archive import SignatureArchive
 from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import SigArchiveError, ValidationError
 from .linalg import (NNLS_STEP_LIMIT, FeatureMatrix, _combine, _fields_equal,
-                     _fields_reduce, _nnls_rows, _readonly_array, _rowdot, nnls_solve)
+                     _fields_reduce, _nnls_rows, _readonly_array, _rowdot)
 
 _BLOCK = 1024   # samples per kernel call in classify_batch: bounds memory, moves no bit
 _NO_ENTRIES = "archive has no entries to project onto"
@@ -95,21 +95,6 @@ def _check_sample(sample, n: int) -> np.ndarray:
     if (vec < 0).any():
         raise ValidationError("sample contains negative entries")
     return vec
-
-
-def project(sample, archive: SignatureArchive) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative projection of ``sample`` onto all archived signatures.
-
-    Returns ``(coefficients, reconstruction)`` where ``reconstruction`` is
-    the nonnegative combination of archive signatures closest to the sample
-    in the least-squares sense.
-    """
-    if not archive.entries:
-        raise ValidationError(_NO_ENTRIES)
-    vec = _check_sample(sample, archive.n_features)
-    basis = archive.signature_matrix()
-    coefficients = nnls_solve(basis, vec)
-    return coefficients, _combine(coefficients[None], basis)[0]
 
 
 def _cosines(s: np.ndarray, r: np.ndarray) -> np.ndarray:

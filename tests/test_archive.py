@@ -29,7 +29,7 @@ from sigarchive.archive import (
     _NODE_K_CAP,
     REASON_NODE_TOO_SMALL,
     REASON_ZERO_ACTIVITY,
-    assign_clusters,
+    _dominant_rows,
     normalize_factor_pair,
     uniformity,
 )
@@ -71,27 +71,30 @@ class TestUniformity:
 
 
 class TestAssignClusters:
+    """``build_archive``'s cluster of each sample: the dominant row of the
+    normalized pair's ``h``."""
+
     def test_identity_activities(self):
         pair = FactorPair(np.eye(2), np.eye(2), (1.0,), seed=0)
-        assert assign_clusters(pair).tolist() == [0, 1]
+        assert _dominant_rows(normalize_factor_pair(pair).h).tolist() == [0, 1]
 
     def test_tie_takes_lowest_index(self):
         pair = FactorPair(np.eye(2), np.array([[0.5, 0.2], [0.5, 0.9]]), (1.0,), seed=0)
-        assert assign_clusters(pair).tolist() == [0, 1]
+        assert _dominant_rows(normalize_factor_pair(pair).h).tolist() == [0, 1]
 
     def test_zero_activity_column_unassigned(self):
         pair = FactorPair(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), (1.0,), seed=0)
-        assert assign_clusters(pair).tolist() == [0, -1]
+        assert _dominant_rows(normalize_factor_pair(pair).h).tolist() == [0, -1]
 
     def test_column_scaling_is_compensated(self):
         # doubling a signature column while halving its activity row must
         # not change any assignment
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         h = np.array([[0.6, 0.3], [0.5, 0.4]])
-        base = assign_clusters(FactorPair(w, h, (1.0,), seed=0))
-        scaled_w = w * np.array([2.0, 1.0])
-        scaled_h = h * np.array([[0.5], [1.0]])
-        scaled = assign_clusters(FactorPair(scaled_w, scaled_h, (1.0,), seed=0))
+        base = _dominant_rows(normalize_factor_pair(FactorPair(w, h, (1.0,), seed=0)).h)
+        scaled = FactorPair(w * np.array([2.0, 1.0]), h * np.array([[0.5], [1.0]]),
+                            (1.0,), seed=0)
+        scaled = _dominant_rows(normalize_factor_pair(scaled).h)
         assert np.array_equal(base, scaled)
 
     def test_normalize_factor_pair_preserves_product(self):
@@ -113,7 +116,7 @@ class TestAssignClusters:
             n_features=30, n_classes=3, samples_per_class=100,
             signature_overlap=0.0, noise_sigma=0.0, seed=3))
         pair = nmf_factorize(data.features, 3, seed=0)
-        assignment = assign_clusters(pair)
+        assignment = _dominant_rows(normalize_factor_pair(pair).h)
         truth = np.repeat(np.arange(3), 100)
         # map each cluster to its majority class, then count agreement
         agree = 0

@@ -16,7 +16,8 @@ from sigarchive import (
     classify_batch,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic, split_holdout
-from sigarchive.inference import BatchFailure, _cosines, project
+from sigarchive.inference import BatchFailure, _cosines
+from sigarchive.linalg import _combine, _nnls_rows
 
 AXES = np.eye(4)[:, :3]  # e0, e1, e2 as unit signature columns
 
@@ -42,31 +43,45 @@ class TestInferenceConfig:
 
 
 class TestProject:
-    def test_recovers_scaled_signature(self, axis_archive):
-        coeff, recon = project(5.0 * AXES[:, 1], axis_archive)
+    """The projection that ``classify`` scores: ``_nnls_rows`` onto the
+    archive's signatures, reconstructed by ``_combine``.  Bad samples are
+    refused before it."""
+
+    @pytest.fixture
+    def project(self, axis_archive):
+        basis = axis_archive.signature_matrix()
+
+        def coefficients_and_reconstruction(sample):
+            x, stopped = _nnls_rows(basis, sample[None])
+            assert stopped.all()
+            return x[0], _combine(x, basis)[0]
+        return coefficients_and_reconstruction
+
+    def test_recovers_scaled_signature(self, project):
+        coeff, recon = project(5.0 * AXES[:, 1])
         assert np.allclose(coeff, [0.0, 5.0, 0.0], atol=1e-8)
         assert np.allclose(recon, 5.0 * AXES[:, 1], atol=1e-8)
 
-    def test_orthogonal_sample_projects_to_zero(self, axis_archive):
-        coeff, recon = project(np.array([0.0, 0.0, 0.0, 1.0]), axis_archive)
+    def test_orthogonal_sample_projects_to_zero(self, project):
+        coeff, recon = project(np.array([0.0, 0.0, 0.0, 1.0]))
         assert coeff.tolist() == [0.0, 0.0, 0.0]
         assert recon.tolist() == [0.0, 0.0, 0.0, 0.0]
 
-    def test_composite_mixture(self, axis_archive):
-        coeff, _ = project(2.0 * AXES[:, 0] + 3.0 * AXES[:, 2], axis_archive)
+    def test_composite_mixture(self, project):
+        coeff, _ = project(2.0 * AXES[:, 0] + 3.0 * AXES[:, 2])
         assert np.allclose(coeff, [2.0, 0.0, 3.0], atol=1e-8)
 
     def test_wrong_length_rejected(self, axis_archive):
         with pytest.raises(ValidationError):
-            project(np.ones(5), axis_archive)
+            classify(np.ones(5), axis_archive)
 
     def test_negative_entries_rejected(self, axis_archive):
         with pytest.raises(ValidationError):
-            project(np.array([1.0, -0.5, 0.0, 0.0]), axis_archive)
+            classify(np.array([1.0, -0.5, 0.0, 0.0]), axis_archive)
 
     def test_non_finite_entries_rejected(self, axis_archive):
         with pytest.raises(ValidationError):
-            project(np.array([1.0, math.inf, 0.0, 0.0]), axis_archive)
+            classify(np.array([1.0, math.inf, 0.0, 0.0]), axis_archive)
 
 
 class TestScore:
