@@ -22,6 +22,7 @@ import argparse
 import logging
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -154,6 +155,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import dataio
     from .inference import InferenceConfig
 
@@ -183,6 +186,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     n_classified = sum(1 for p in predictions if p.decision == DECISION_CLASSIFIED)
     print(f"classified {n_classified}/{features.n_samples} samples "
           f"({len(predictions) - n_classified} rejected) -> {args.output}")
+    quartiles = np.quantile([p.score for p in predictions], (0, 0.25, 0.5, 0.75, 1)) \
+        if predictions else ()
+    print("scores: " + (" ".join(f"{name} {q:.4f}" for name, q in zip(
+        ("min", "p25", "median", "p75", "max"), quartiles)) or "none"))
+    attributed = Counter(p.attribution for p in predictions)
+    print("attributed: " + (", ".join(f"{e.path} {attributed[e.path]}"
+                                      for e in archive.entries) or "none"))
     return 1 if failures else 0
 
 

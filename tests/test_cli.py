@@ -176,6 +176,41 @@ class TestClassify:
                   if r["decision"] == "classified"}
         assert strict <= loose and len(strict) < len(loose)
 
+    def test_summarises_scores_and_attributions(self, workspace, tmp_path):
+        result = run(("classify", "--archive", workspace / "arc.json", "--features",
+                      workspace / "features.csv", "--output", tmp_path / "p.csv",
+                      "--threshold", "0.95"), tmp_path)
+        assert result.returncode == 0
+        assert (tmp_path / "p.csv").read_bytes() == (workspace / "predictions.csv").read_bytes()
+        rows = read_rows(tmp_path / "p.csv")
+        scores = sorted(float(r["score"]) for r in rows)  # 60: quartiles fall on 1/4 steps
+        quartiles = (scores[0], 0.25 * scores[14] + 0.75 * scores[15],
+                     0.5 * (scores[29] + scores[30]), 0.75 * scores[44] + 0.25 * scores[45],
+                     scores[-1])
+        paths = [e["path"] for e in json.loads((workspace / "arc.json").read_text())["entries"]]
+        counts = [sum(r["attribution"] == path for r in rows) for path in paths]
+        assert sum(counts) == 60
+        classified, scored, attributed = result.stdout.splitlines()
+        assert classified.startswith("classified ")
+        assert scored == "scores: " + " ".join(
+            f"{name} {q:.4f}" for name, q in zip(("min", "p25", "median", "p75", "max"),
+                                                 quartiles))
+        assert attributed == "attributed: " + ", ".join(
+            f"{path} {n}" for path, n in zip(paths, counts))
+
+    def test_summary_of_a_run_without_scores(self, workspace, tmp_path):
+        names = [line.split(",")[0] for line in
+                 (workspace / "features.csv").read_text().splitlines()[1:]]
+        (tmp_path / "zeros.csv").write_text(
+            "feature,a,b\n" + "".join(f"{name},0,0\n" for name in names))
+        result = run(("classify", "--archive", workspace / "arc.json", "--features",
+                      "zeros.csv", "--output", "p.csv"), tmp_path)
+        assert result.returncode == 1 and result.stderr.count("all-zero sample") == 2
+        assert result.stdout.splitlines()[1:] == [
+            "scores: none", "attributed: " + ", ".join(
+                f"{e['path']} 0"
+                for e in json.loads((workspace / "arc.json").read_text())["entries"])]
+
     def test_empty_features_file_exits_2(self, workspace, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
