@@ -23,6 +23,7 @@ from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import SigArchiveError, ValidationError
 from .linalg import (NNLS_STEP_LIMIT, FeatureMatrix, _combine, _fields_equal,
                      _fields_reduce, _nnls_rows, _readonly_array, _rowdot)
+from .linalg import nnls_solve  # noqa: F401  bench/spans.py traces inference.nnls_solve
 
 _BLOCK = 1024   # samples per kernel call in classify_batch: bounds memory, moves no bit
 _NO_ENTRIES = "archive has no entries to project onto"
