@@ -42,33 +42,28 @@ class TestInferenceConfig:
             InferenceConfig(score_tolerance=-1e-9)
 
 
-class TestProject:
+def project(sample, archive):
     """The projection that ``classify`` scores: ``_nnls_rows`` onto the
-    archive's signatures, reconstructed by ``_combine``.  Bad samples are
-    refused before it."""
+    archive's signatures, reconstructed by ``_combine``."""
+    basis = archive.signature_matrix()
+    x, stopped = _nnls_rows(basis, sample[None])
+    assert stopped.all()
+    return x[0], _combine(x, basis)[0]
 
-    @pytest.fixture
-    def project(self, axis_archive):
-        basis = axis_archive.signature_matrix()
 
-        def coefficients_and_reconstruction(sample):
-            x, stopped = _nnls_rows(basis, sample[None])
-            assert stopped.all()
-            return x[0], _combine(x, basis)[0]
-        return coefficients_and_reconstruction
-
-    def test_recovers_scaled_signature(self, project):
-        coeff, recon = project(5.0 * AXES[:, 1])
+class TestProject:
+    def test_recovers_scaled_signature(self, axis_archive):
+        coeff, recon = project(5.0 * AXES[:, 1], axis_archive)
         assert np.allclose(coeff, [0.0, 5.0, 0.0], atol=1e-8)
         assert np.allclose(recon, 5.0 * AXES[:, 1], atol=1e-8)
 
-    def test_orthogonal_sample_projects_to_zero(self, project):
-        coeff, recon = project(np.array([0.0, 0.0, 0.0, 1.0]))
+    def test_orthogonal_sample_projects_to_zero(self, axis_archive):
+        coeff, recon = project(np.array([0.0, 0.0, 0.0, 1.0]), axis_archive)
         assert coeff.tolist() == [0.0, 0.0, 0.0]
         assert recon.tolist() == [0.0, 0.0, 0.0, 0.0]
 
-    def test_composite_mixture(self, project):
-        coeff, _ = project(2.0 * AXES[:, 0] + 3.0 * AXES[:, 2])
+    def test_composite_mixture(self, axis_archive):
+        coeff, _ = project(2.0 * AXES[:, 0] + 3.0 * AXES[:, 2], axis_archive)
         assert np.allclose(coeff, [2.0, 0.0, 3.0], atol=1e-8)
 
     def test_wrong_length_rejected(self, axis_archive):
