@@ -186,8 +186,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     n_classified = sum(1 for p in predictions if p.decision == DECISION_CLASSIFIED)
     print(f"classified {n_classified}/{features.n_samples} samples "
           f"({len(predictions) - n_classified} rejected) -> {args.output}")
-    quartiles = np.quantile([p.score for p in predictions], (0, 0.25, 0.5, 0.75, 1)) \
-        if predictions else ()
+    ranked = np.sort([p.score for p in predictions])
+    # numpy's default (linear) quartiles; np.quantile would also import numpy.ma
+    quartiles = np.interp(np.linspace(0, ranked.size - 1, 5), np.arange(ranked.size),
+                          ranked) if predictions else ()
     print("scores: " + (" ".join(f"{name} {q:.4f}" for name, q in zip(
         ("min", "p25", "median", "p75", "max"), quartiles)) or "none"))
     attributed = Counter(p.attribution for p in predictions)

@@ -342,7 +342,8 @@ def _solve_on_sets(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.n
     each singular one gets the minimum-norm solution."""
     z = np.zeros(c.shape)
     sizes = passive.sum(axis=1)
-    for s in np.unique(sizes[sizes > 0]):
+    # the nonzero sizes; np.unique would import numpy.ma into every classify
+    for s in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         rows = np.flatnonzero(sizes == s)
         cols = np.nonzero(passive[rows])[1].reshape(rows.size, s)
         g, rhs = gram[cols[:, :, None], cols[:, None, :]], c[rows[:, None], cols, None]
