@@ -37,8 +37,12 @@ __all__ = [*sorted(_MODULE_OF), "__version__"]
 def _lazy_getattr(namespace: dict, module_of: dict[str, str]):
     """A module ``__getattr__`` (PEP 562): the first access to ``name``
     imports ``sigarchive.<module_of[name]>`` and binds the value in
-    ``namespace``, so later lookups, and rebinding, bypass this hook."""
+    ``namespace``, so later lookups, and rebinding, bypass this hook.
+    Called directly, it returns whatever ``namespace`` binds to ``name`` by
+    then, such as a wrapper set on the module attribute."""
     def __getattr__(name: str):
+        if name in namespace:
+            return namespace[name]
         if name not in module_of:
             raise AttributeError(
                 f"module {namespace['__name__']!r} has no attribute {name!r}")

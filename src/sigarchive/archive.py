@@ -10,17 +10,14 @@ unresolved bucket, so every training sample is accounted for exactly once.
 
 from __future__ import annotations
 
-import logging
-import math
 import os
-import signal
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import docio
+from . import _lazy_getattr, docio
 from .dataio import NormalizationParams
 from .errors import (
     ArchiveFormatError,
@@ -30,10 +27,15 @@ from .errors import (
 )
 from .linalg import (FactorPair, FeatureMatrix, _fields_equal, _fields_reduce,
                      _readonly_array, nmf_factorize, unit_columns)
-from .rank import EnsembleConfig, RankSelectionReport, RankStats, select_rank
 from .seeding import node_seed
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .rank import EnsembleConfig, RankStats
+
+# rank selection runs only in build_archive, so loading an archive never
+# imports it; build_archive looks it up in this namespace when it starts, so
+# a wrapper bound to the module attribute sees every call
+__getattr__ = _lazy_getattr(globals(), {"select_rank": "rank"})
 
 SCHEMA_VERSION = 1
 ROOT_PATH = "root"
@@ -296,6 +298,7 @@ def build_archive(
             f"got {len(all_labels)} labels for {x.n_samples} samples")
     if any(not v for v in all_labels):
         raise ValidationError("labels must be nonempty strings")
+    select_rank = __getattr__("select_rank")
 
     entries: list[ArchiveEntry] = []
     unresolved: list[UnresolvedGroup] = []
@@ -308,6 +311,7 @@ def build_archive(
         if (pool is None and workers > 1 and (n := min(
                 workers, len(os.sched_getaffinity(0)), cfg.ensemble.n_perturbations)) > 1):
             import multiprocessing  # ~15 ms, paid only by builds that fork
+            import signal
             # The workers ignore SIGINT: an interrupt stops the build, which stops them.
             pool = multiprocessing.get_context("fork").Pool(
                 n, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))

@@ -8,9 +8,10 @@ ids and the same ids in paired files; the first bad row or cell is named
 rank selection's ensemble members in ``min(N, usable CPUs, members per rank)``
 processes (on the calling thread if 1); it never changes any output byte.
 
-Each subcommand imports only what it runs, so ``evaluate`` never loads numpy.
-The numpy-backed stages ``build_archive``, ``load_archive``, ``save_archive``
-and ``classify_batch`` are module attributes imported on first access.
+Each subcommand imports only what it runs: ``evaluate`` never loads numpy,
+``classify`` never loads rank selection, the metrics or logging.  The stages
+``build_archive``, ``load_archive``, ``save_archive``, ``classify_batch`` and
+``evaluate_predictions`` are module attributes imported on first access.
 Handlers look every stage up in ``globals()`` when they call it, so a wrapper
 bound to the attribute sees every call, also where no module object holds
 them (``runpy`` with ``run_name="__main__"``, as in ``python -m cProfile``).
@@ -19,7 +20,6 @@ them (``runpy`` with ``run_name="__main__"``, as in ``python -m cProfile``).
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 from collections import Counter
@@ -30,16 +30,11 @@ from typing import Sequence
 from . import _lazy_getattr, docio
 from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import ArchiveFormatError, SigArchiveError, ValidationError
-from .evaluation import evaluate_predictions
 
-__getattr__ = _lazy_getattr(globals(), {
+# _stage(name): the value bound to ``name`` in this namespace, imported on first use
+_stage = __getattr__ = _lazy_getattr(globals(), {
     "build_archive": "archive", "load_archive": "archive", "save_archive": "archive",
-    "classify_batch": "inference"})
-
-
-def _stage(name: str):
-    """The value bound to ``name`` in this namespace, imported on first use."""
-    return globals().get(name) or __getattr__(name)
+    "classify_batch": "inference", "evaluate_predictions": "evaluation"})
 
 
 _PREDICTION_HEADER = ("sample_id", "decision", "label", "score", "attribution")
@@ -93,9 +88,19 @@ def _write_outputs(*writes) -> None:
             raise
 
 
+def _log_warnings() -> None:
+    """Print warnings to stderr as ``LEVEL logger: message``.  Only the
+    commands that log (synth and build) import logging and call this."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import dataio
 
+    _log_warnings()
     if args.n_features < args.n_classes:
         raise ValidationError(
             "--n-features must be >= --n-classes so every class gets its own features")
@@ -123,6 +128,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     from .archive import BuildConfig
     from .rank import EnsembleConfig
 
+    _log_warnings()
     report_path = _second_path("--archive", args.archive, "--report", args.report, ".report.json")
     dataset = dataio.load_csv(args.features, args.labels)
     normalized, params = dataio.normalize(dataset, args.normalization)
@@ -199,6 +205,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 _NOVEL_VALUES = {"0": False, "false": False, "1": True, "true": True}
+_DECISIONS = {DECISION_CLASSIFIED, DECISION_REJECTED}
+
+
+def _name_bad_prediction(path, rows) -> None:
+    """Raise for the first of ``rows`` (prediction-table body rows) with a
+    bad decision, label or score, naming its row number in the file."""
+    for i, (_, decision, label, score_text, _) in enumerate(rows):
+        if decision not in _DECISIONS:
+            raise ValidationError(f"{path}: row {i + 2}: unknown decision {decision!r}")
+        if not label:
+            raise ValidationError(
+                f"{path}: row {i + 2}: empty label; rejected rows "
+                f"must still carry the attributed label")
+        try:
+            score = float(score_text)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ValidationError(
+                f"{path}: row {i + 2}: score is not a finite number: {score_text!r}")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -209,39 +235,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = docio.read_table(args.truth, _TRUTH_HEADER)
     docio.same_ids(preds, truth, args.predictions, args.truth)
 
-    truth_of: dict[str, tuple[str, bool]] = {}
-    for sid, (lineno, (_, label, novel_text)) in truth.items():
-        flag = _NOVEL_VALUES.get(novel_text.strip().lower())
-        if flag is None:
-            raise ValidationError(
-                f"{args.truth}: row {lineno}: novel must be 0/1/true/false, "
-                f"got {novel_text!r}")
-        truth_of[sid] = (label, flag)
+    novel = [_NOVEL_VALUES.get(cells[2].strip().lower()) for cells in truth.values()]
+    if None in novel:
+        i = novel.index(None)
+        raise ValidationError(
+            f"{args.truth}: row {i + 2}: novel must be 0/1/true/false, "
+            f"got {list(truth.values())[i][2]!r}")
+    novel_of = dict(zip(truth, novel))
 
-    decisions, predicted, scores = [], [], []
-    for lineno, (_, decision, label, score_text, _attribution) in preds.values():
-        if decision not in (DECISION_CLASSIFIED, DECISION_REJECTED):
-            raise ValidationError(
-                f"{args.predictions}: row {lineno}: unknown decision {decision!r}")
-        if not label:
-            raise ValidationError(
-                f"{args.predictions}: row {lineno}: empty label; rejected rows "
-                f"must still carry the attributed label")
-        try:
-            score = float(score_text)
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            raise ValidationError(
-                f"{args.predictions}: row {lineno}: score is not a finite number: "
-                f"{score_text!r}")
-        decisions.append(decision)
-        predicted.append(label)
-        scores.append(score)
+    _, decisions, predicted, score_texts, _ = zip(*preds.values())
+    try:
+        scores = list(map(float, score_texts))
+    except ValueError:
+        scores = [math.nan]  # the walk below names the unparsable score
+    if not (_DECISIONS.issuperset(decisions) and all(predicted)
+            and all(map(math.isfinite, scores))):
+        _name_bad_prediction(args.predictions, preds.values())
 
-    report = evaluate_predictions(decisions, predicted, scores,
-                                  [truth_of[sid][0] for sid in preds],
-                                  [truth_of[sid][1] for sid in preds])
+    report = _stage("evaluate_predictions")(decisions, predicted, scores,
+                                            [truth[sid][1] for sid in preds],
+                                            [novel_of[sid] for sid in preds])
     # each curve value is rendered once, for report.json and the curve table (a
     # number needs no CSV quoting); the document never builds its float rows
     curve = docio.Records(_CURVE_HEADER, [
@@ -331,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -344,5 +355,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The console entry point: exit with ``main()``'s code, skipping the
+    interpreter's last garbage collection of a heap the exit frees anyway.
+
+    ``gc.freeze`` runs after the exit hooks registered later (logging's and
+    multiprocessing's), and the streams are still flushed.  ``main`` changes
+    no process-wide state, since tests and library callers run it in theirs.
+    """
+    import atexit
+    import gc
+
+    atexit.register(gc.freeze)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -14,7 +14,6 @@ its first bad cell.  Both give the same values and messages.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +25,6 @@ from .docio import (MODE_NONE, MODE_PER_FEATURE_MAX, _rows, format_float, read_t
 from .errors import ArchiveFormatError, DegenerateInputError, ValidationError
 from .linalg import FeatureMatrix, _fields_equal
 from .seeding import STREAM_SPLIT, STREAM_SYNTH, generator
-
-logger = logging.getLogger(__name__)
 
 _FEATURE_CORNER = "feature"
 _LABEL_HEADER = ("sample_id", "label")
@@ -139,7 +136,7 @@ def load_features_csv(path) -> FeatureMatrix:
 
 def load_labels_csv(path) -> dict[str, str]:
     """Read a ``sample_id,label`` table into an ordered mapping."""
-    return {sid: label for sid, (_, (_, label)) in read_table(path, _LABEL_HEADER).items()}
+    return {sid: label for sid, (_, label) in read_table(path, _LABEL_HEADER).items()}
 
 
 def load_csv(features_path, labels_path) -> LabeledDataset:
@@ -237,8 +234,10 @@ def normalize(dataset: LabeledDataset, mode: str = MODE_PER_FEATURE_MAX,
     if not keep.any():
         raise DegenerateInputError("every feature is zero; nothing to normalize")
     if dropped:
-        logger.warning("dropping %d all-zero feature(s): %s", len(dropped),
-                       ", ".join(dropped[:5]) + ("..." if len(dropped) > 5 else ""))
+        import logging  # loaded only where a warning is logged: classify never logs
+        logging.getLogger(__name__).warning(
+            "dropping %d all-zero feature(s): %s", len(dropped),
+            ", ".join(dropped[:5]) + ("..." if len(dropped) > 5 else ""))
     params = NormalizationParams(
         MODE_PER_FEATURE_MAX,
         names,
@@ -390,8 +389,9 @@ def generate_synthetic(spec: SynthSpec) -> tuple[LabeledDataset, GroundTruth]:
         raise DegenerateInputError(
             f"cannot give {c_count} classes disjoint support on {n} features")
     if n < 2 * c_count:
-        logger.warning("only %d features for %d classes; signatures will be thin",
-                       n, c_count)
+        import logging
+        logging.getLogger(__name__).warning(
+            "only %d features for %d classes; signatures will be thin", n, c_count)
 
     rng = generator(spec.seed, STREAM_SYNTH)
     block_sizes = [n // c_count + (1 if c < n % c_count else 0) for c in range(c_count)]

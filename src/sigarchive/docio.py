@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,41 +110,58 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _rows(path):
-    """Yield ``(row number, cells)`` for each row of a UTF-8 CSV file, lazily.
-
-    Every row after the first must have as many cells as the first.
-    """
+@contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over a UTF-8 CSV file; a missing file, or one that does
+    not decode or parse, raises ``ValidationError``."""
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"file not found: {p}")
     try:
         with open(p, newline="", encoding="utf-8") as fh:
-            width = None
-            for lineno, cells in enumerate(csv.reader(fh), start=1):
-                if width not in (None, len(cells)):
-                    raise ValidationError(
-                        f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
-                width = len(cells)
-                yield lineno, cells
+            yield csv.reader(fh)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{p}: not a readable UTF-8 CSV file: {exc}") from exc
 
 
-def read_table(path, header: tuple[str, ...]) -> dict[str, tuple[int, list[str]]]:
+def _rows(path):
+    """Yield ``(row number, cells)`` for each row of a UTF-8 CSV file, lazily.
+
+    Every row after the first must have as many cells as the first.
+    """
+    with _csv_reader(path) as reader:
+        width = None
+        for lineno, cells in enumerate(reader, start=1):
+            if width not in (None, len(cells)):
+                raise ValidationError(
+                    f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
+            width = len(cells)
+            yield lineno, cells
+
+
+def read_table(path, header: tuple[str, ...]) -> dict[str, list[str]]:
     """Body rows of a CSV file whose first row must equal ``header``, keyed
-    by their first cell (which no two rows may share), with row numbers."""
-    rows = _rows(path)
-    _, first = next(rows, (1, []))
+    by their first cell, which no two rows may share.  Every row must have
+    ``len(header)`` cells; the first row at fault is named (body row ``i``
+    is row ``i + 2`` of the file)."""
+    with _csv_reader(path) as reader:
+        rows = list(reader)
+    first = rows[0] if rows else []
     if tuple(first) != header:
         raise ValidationError(
             f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}")
-    table: dict[str, tuple[int, list[str]]] = {}
-    for lineno, cells in rows:
-        if cells[0] in table:
-            raise ValidationError(
-                f"{path}: duplicate sample id {cells[0]!r} at row {lineno}")
-        table[cells[0]] = (lineno, cells)
+    body, width = rows[1:], len(header)
+    table = {cells[0]: cells for cells in body} if set(map(len, body)) <= {width} else {}
+    if len(table) != len(body):  # some row is at fault: name the first
+        table = {}
+        for i, cells in enumerate(body):
+            if len(cells) != width:
+                raise ValidationError(
+                    f"{path}: row {i + 2} has {len(cells)} cells, expected {width}")
+            if cells[0] in table:
+                raise ValidationError(
+                    f"{path}: duplicate sample id {cells[0]!r} at row {i + 2}")
+            table[cells[0]] = cells
     return table
 
 

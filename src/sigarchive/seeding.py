@@ -7,7 +7,7 @@ therefore never share a stream, and results do not depend on evaluation
 order or worker count.
 """
 
-import hashlib
+from __future__ import annotations
 
 import numpy as np
 
@@ -31,5 +31,7 @@ def node_seed(seed: int, path: str) -> int:
     Derived from a keyed hash of the node path so sibling subtrees can be
     processed in any order (or in parallel) without changing results.
     """
+    import hashlib  # here, not at the top: only builds derive node seeds
+
     digest = hashlib.blake2b(f"{int(seed)}:{path}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")

@@ -105,6 +105,18 @@ class TestBuild:
         assert result.returncode == 2
         assert "disagree" in result.stderr
 
+    def test_all_zero_feature_is_dropped_with_a_logged_warning(self, tmp_path):
+        header, *rows = small_synth(tmp_path)
+        rows[4] = ",".join(["f4"] + ["0.0"] * (len(header.split(",")) - 1))
+        (tmp_path / "features.csv").write_text("\n".join([header, *rows]) + "\n")
+        result = run(("build", "--features", "features.csv", "--labels", "labels.csv",
+                      "--archive", "a.json", "--k-max", "3", "--n-perturbations", "4",
+                      "--min-cluster-size", "5"), tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "WARNING sigarchive.dataio: dropping 1 all-zero feature(s): f4\n" in result.stderr
+        archive = json.loads((tmp_path / "a.json").read_text())
+        assert archive["build_config"]["normalization"]["dropped_features"] == ["f4"]
+
     def test_duplicate_feature_names_exit_2(self, tmp_path):
         header, *rows = small_synth(tmp_path)
         # rename row f1 to f0 and zero the first f0 row: normalization
@@ -410,6 +422,30 @@ class TestEvaluate:
         assert result.returncode == 2
         assert f"p.csv: row 3: score is not a finite number: {text!r}" in result.stderr
         assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("edits,truth,message", [
+        ((("0.98,", "x,"), (",rejected,", ",maybe,")), "a,x,0\nb,y,0\nc,z,1\n",
+         "p.csv: row 3: score is not a finite number: 'x'"),
+        (((",classified,y", ",maybe,y"), (",rejected,x", ",rejected,")), "a,x,0\nb,y,0\nc,z,1\n",
+         "p.csv: row 3: unknown decision 'maybe'"),
+        (((",rejected,x", ",rejected,"), ("0.3", "inf")), "a,x,0\nb,y,0\nc,z,1\n",
+         "p.csv: row 4: empty label"),
+        (((",classified,y", ",maybe,y"),), "a,x,0\nb,y,yes\nc,z,2\n",
+         "t.csv: row 3: novel must be 0/1/true/false, got 'yes'"),
+    ])
+    def test_first_faulty_row_is_named(self, tmp_path, edits, truth, message):
+        # the columns are checked as wholes; the message still names the
+        # first faulty row, and its first faulty cell, truth before predictions
+        self.write_pair(tmp_path, "sample_id,label,novel\n" + truth)
+        preds = tmp_path / "p.csv"
+        text = preds.read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        preds.write_text(text)
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "rep.json"), tmp_path)
+        assert result.returncode == 2
+        assert message in result.stderr, result.stderr
 
     def test_report_and_curve_on_one_path_exit_2(self, tmp_path):
         self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")

@@ -274,6 +274,41 @@ def test_plain_pass_keeps_the_csv_field_limit(tmp_path, width):
         csv.field_size_limit(old)
 
 
+def _read_table_row_by_row(path, header):
+    """The row-at-a-time reader ``read_table`` replaced, kept as its oracle:
+    each row is checked as it is read, so the first faulty row is named."""
+    rows = docio._rows(path)
+    _, first = next(rows, (1, []))
+    if tuple(first) != header:
+        raise ValidationError(
+            f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}")
+    table = {}
+    for lineno, cells in rows:
+        if cells[0] in table:
+            raise ValidationError(f"{path}: duplicate sample id {cells[0]!r} at row {lineno}")
+        table[cells[0]] = cells
+    return table
+
+
+def _table_outcome(read, path):
+    try:
+        return read(path, ("sample_id", "label"))
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(["a", "b", "c", "", '"d,e"', "sample_id"]),
+                              max_size=3), max_size=6),
+       header=st.sampled_from(["sample_id,label\n", "sample_id,label,x\n", ""]))
+@example(rows=[["a", "b"], ["a", "c"], ["d"]], header="sample_id,label\n")
+@example(rows=[["a", "b"], ["d"], ["a", "c"]], header="sample_id,label\n")
+def test_read_table_agrees_with_the_row_by_row_reader(scratch, rows, header):
+    # faults of both kinds in one table: a wrong cell count and a repeated id
+    path = _write(scratch, (header + "".join(",".join(r) + "\n" for r in rows)).encode())
+    assert _table_outcome(read_table, path) == _table_outcome(_read_table_row_by_row, path)
+
+
 def test_duplicate_sample_ids_keep_their_own_message(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("feature,a,a\nf0,1,2\n")
