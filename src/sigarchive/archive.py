@@ -131,7 +131,7 @@ class UnresolvedGroup:
 
 @dataclass(frozen=True, eq=False)
 class SignatureArchive:
-    """Ordered collection of archived signatures plus build provenance."""
+    """Ordered, nonempty collection of archived signatures plus build provenance."""
 
     entries: tuple[ArchiveEntry, ...]
     feature_names: tuple[str, ...]
@@ -143,8 +143,8 @@ class SignatureArchive:
         entries = tuple(self.entries)
         names = tuple(str(f) for f in self.feature_names)
         n = len(names)
-        if n < 1:
-            raise ValidationError("archive needs at least one feature name")
+        if not entries:  # then each entry's unit signature gives the archive a feature
+            raise ValidationError("archive needs at least one entry")
         for e in entries:
             if e.signature.shape != (n,):
                 raise ValidationError(
@@ -155,8 +155,7 @@ class SignatureArchive:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "unresolved", tuple(self.unresolved))
-        basis = (np.column_stack([e.signature for e in entries]) if entries
-                 else np.empty((n, 0)))
+        basis = np.column_stack([e.signature for e in entries])
         basis.setflags(write=False)
         object.__setattr__(self, "_basis", basis)
 

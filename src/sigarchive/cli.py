@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -39,7 +38,6 @@ _stage = __getattr__ = _lazy_getattr(globals(), {
 
 _PREDICTION_HEADER = ("sample_id", "decision", "label", "score", "attribution")
 _TRUTH_HEADER = ("sample_id", "label", "novel")
-_CURVE_HEADER = ("threshold", "coverage", "risk")
 
 
 def _positive_int(text: str) -> int:
@@ -180,27 +178,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
         # processing failure, not a usage error.
         raise SigArchiveError(str(exc)) from exc
 
-    label_by_path = {e.path: e.label for e in archive.entries}
-    rows = [list(_PREDICTION_HEADER)]
-    for p in predictions:
-        rows.append([p.sample_id, p.decision, label_by_path[p.attribution],
-                     docio.format_float(p.score), p.attribution])
-    docio.write_rows(args.output, rows)
+    entries, decisions = archive.entries, (DECISION_REJECTED, DECISION_CLASSIFIED)
+    columns = zip(predictions.sample_ids, predictions.classified.tolist(),
+                  predictions.attributed.tolist(), predictions.scores.tolist())
+    docio.write_rows(args.output, [_PREDICTION_HEADER, *(
+        [sid, decisions[accept], entries[i].label, docio.format_float(score), entries[i].path]
+        for sid, accept, i, score in columns)])
 
     for f in failures:
         print(f"error: sample {f.sample_id!r}: {f.message}", file=sys.stderr)
-    n_classified = sum(1 for p in predictions if p.decision == DECISION_CLASSIFIED)
+    n_scored, n_classified = len(predictions.sample_ids), int(predictions.classified.sum())
     print(f"classified {n_classified}/{features.n_samples} samples "
-          f"({len(predictions) - n_classified} rejected) -> {args.output}")
-    ranked = np.sort([p.score for p in predictions])
+          f"({n_scored - n_classified} rejected) -> {args.output}")
+    ranked = np.sort(predictions.scores)
     # numpy's default (linear) quartiles; np.quantile would also import numpy.ma
-    quartiles = np.interp(np.linspace(0, ranked.size - 1, 5), np.arange(ranked.size),
-                          ranked) if predictions else ()
+    quartiles = np.interp(np.linspace(0, n_scored - 1, 5), np.arange(n_scored),
+                          ranked) if n_scored else ()
     print("scores: " + (" ".join(f"{name} {q:.4f}" for name, q in zip(
         ("min", "p25", "median", "p75", "max"), quartiles)) or "none"))
-    attributed = Counter(p.attribution for p in predictions)
-    print("attributed: " + (", ".join(f"{e.path} {attributed[e.path]}"
-                                      for e in archive.entries) or "none"))
+    counts = np.bincount(predictions.attributed, minlength=len(entries)).tolist()
+    print("attributed: " + ", ".join(f"{e.path} {n}" for e, n in zip(entries, counts)))
     return 1 if failures else 0
 
 
@@ -255,12 +252,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = _stage("evaluate_predictions")(decisions, predicted, scores,
                                             [truth[sid][1] for sid in preds],
                                             [novel_of[sid] for sid in preds])
-    # each curve value is rendered once, for report.json and the curve table (a
-    # number needs no CSV quoting); the document never builds its float rows
-    curve = docio.Records(_CURVE_HEADER, [
-        tuple(map(docio.format_float, (p.threshold, p.coverage, p.risk)))
-        for p in report.rc_curve])
-    document = {**replace(report, rc_curve=()).to_document(), "rc_curve": curve}
+    document = report.to_document()
+    curve = document["rc_curve"]  # rendered cells; a number needs no CSV quoting
     table = "".join(",".join(row) + "\n" for row in (curve.keys, *curve.rows))
     _write_outputs((args.report, lambda path: docio.write_document(document, path)),
                    (curve_path, lambda path: docio.write_atomic(path, table)))

@@ -90,8 +90,8 @@ def _plain_line(line: bytes) -> bool:
     return b'"' not in line and b"\r" not in line
 
 
-def _plain_features(path) -> FeatureMatrix | None:
-    """A plain table read by numpy's C reader (see the module docstring), else None."""
+def _plain_features(path) -> tuple | None:
+    """Values, sample ids and names of a plain table read by numpy's C reader, else None."""
     names = []
 
     def data_lines(lines):
@@ -115,22 +115,28 @@ def _plain_features(path) -> FeatureMatrix | None:
     if values.shape != (len(names), len(sample_ids)) or not (
             0 <= values.min() <= values.max() < math.inf):
         return None
-    return FeatureMatrix(values, sample_ids, names)
+    return values, sample_ids, names
 
 
 def load_features_csv(path) -> FeatureMatrix:
     """Read a feature table: header row of sample ids, feature rows below."""
     if (plain := _plain_features(path)) is not None:
-        return plain
-    rows = _rows(path)
-    _, header = next(rows, (1, []))
-    if len(header) < 2:
-        raise ValidationError(f"{path}: expected a header row with at least one sample id")
-    sample_ids = tuple(header[1:])
-    body = [(name, _feature_row(path, name, cells, sample_ids)) for _, (name, *cells) in rows]
-    if not body:
-        raise ValidationError(f"{path}: no feature rows found")
-    names, values = zip(*body)
+        values, sample_ids, names = plain
+    else:
+        rows = _rows(path)
+        _, header = next(rows, (1, []))
+        if len(header) < 2:
+            raise ValidationError(f"{path}: expected a header row with at least one sample id")
+        sample_ids = tuple(header[1:])
+        body = [(name, _feature_row(path, name, cells, sample_ids)) for _, (name, *cells) in rows]
+        if not body:
+            raise ValidationError(f"{path}: no feature rows found")
+        names, values = zip(*body)
+    for kind, items in (("sample id", sample_ids), ("feature name", names)):
+        first = {}  # item -> index of its first occurrence
+        for i, item in enumerate(items):
+            if first.setdefault(item, i) != i:
+                raise ValidationError(f"{path}: {kind}s must be unique; {item!r} repeats")
     return FeatureMatrix(values, sample_ids, names)
 
 

@@ -112,13 +112,13 @@ def write_atomic(path, text: str) -> None:
 
 @contextmanager
 def _csv_reader(path):
-    """A ``csv.reader`` over a UTF-8 CSV file; a missing file, or one that does
-    not decode or parse, raises ``ValidationError``."""
+    """A ``csv.reader`` over a UTF-8 CSV file, past any byte order mark; a
+    missing file, or one that does not decode or parse, raises ``ValidationError``."""
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"file not found: {p}")
     try:
-        with open(p, newline="", encoding="utf-8") as fh:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
             yield csv.reader(fh)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{p}: not a readable UTF-8 CSV file: {exc}") from exc

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
+from .docio import DECISION_CLASSIFIED, DECISION_REJECTED, Records, format_float
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
@@ -241,7 +241,9 @@ class EvalReport:
             "rejection_seen": _opt(self.rejection.seen),
             "rejection_novel": _opt(self.rejection.novel),
             "per_class": [{**vars(s)} for s in self.metrics.per_class],
-            "rc_curve": [{**vars(p)} for p in self.rc_curve],
+            "rc_curve": Records(("threshold", "coverage", "risk"), [
+                (format_float(p.threshold), format_float(p.coverage), format_float(p.risk))
+                for p in self.rc_curve]),
         }
 
 

@@ -5,16 +5,17 @@ nonnegative least squares; the cosine similarity between the sample and its
 reconstruction, clipped to [0, 1], is the confidence score.  A zero
 reconstruction scores 0; an all-zero sample is an error, as its direction is
 undefined.  Samples scoring below the decision threshold are rejected as
-unrecognized rather than forced into a class.
-One sample and a batch go through the same NNLS kernel and the same
-row-wise sums, so a sample's score has the same bits alone as in any batch,
-whatever the BLAS thread count.
+unrecognized rather than forced into a class.  A batch's outcome is one set
+of columns (:class:`Predictions`), and :func:`classify` is the batch of one:
+the same NNLS kernel and row-wise sums give a sample's score the same bits
+alone as in any batch, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .linalg import (NNLS_STEP_LIMIT, FeatureMatrix, _combine, _fields_equal,
 from .linalg import nnls_solve  # noqa: F401  bench/spans.py traces inference.nnls_solve
 
 _BLOCK = 1024   # samples per kernel call in classify_batch: bounds memory, moves no bit
-_NO_ENTRIES = "archive has no entries to project onto"
 _ZERO_SAMPLE = "cannot score an all-zero sample"
 
 
@@ -77,6 +77,21 @@ class Prediction:
     __reduce__ = _fields_reduce
 
 
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """A batch's outcome as columns, one row per sample that scored.  Row ``i``
+    is what :func:`classify` returns for ``sample_ids[i]``, with the same
+    bits; ``attributed[i]`` indexes ``archive.entries``."""
+
+    sample_ids: tuple[str, ...]
+    scores: np.ndarray
+    attributed: np.ndarray
+    classified: np.ndarray
+    coefficients: np.ndarray
+
+    __eq__ = _fields_equal
+
+
 @dataclass(frozen=True)
 class BatchFailure:
     """A sample skipped during batch classification, with the cause."""
@@ -123,56 +138,43 @@ def classify(
     its label is the label of the attributed signature.  Decisions are
     invariant under positive rescaling of the sample.
     """
-    outcome, = _classify_rows((sample_id,), _check_sample(sample, archive.n_features)[None],
-                              archive, cfg)
-    if isinstance(outcome, SigArchiveError):
-        raise outcome
-    return outcome
+    columns, errors = _classify_rows((sample_id,), _check_sample(sample, archive.n_features)[None],
+                                     archive, cfg)
+    if errors:
+        raise errors[0][1]
+    _, (score,), (attributed,), (accept,), (coefficients,) = columns
+    entry = archive.entries[attributed]
+    return Prediction(sample_id, DECISION_CLASSIFIED if accept else DECISION_REJECTED,
+                      entry.label if accept else None, score, entry.path, coefficients)
 
 
-def _classify_rows(sample_ids, rows: np.ndarray, archive: SignatureArchive,
-                   cfg: InferenceConfig) -> list[Prediction | SigArchiveError]:
-    """The decision for each sample row of the (m, n) ``rows``: a
-    :class:`Prediction`, or the error that the sample fails with."""
-    if not archive.entries:
-        return [ValidationError(_NO_ENTRIES) for _ in sample_ids]
+def _classify_rows(sample_ids, rows: np.ndarray, archive: SignatureArchive, cfg: InferenceConfig):
+    """:class:`Predictions`' columns, as a tuple, for the rows of the (m, n)
+    ``rows`` that score, and ``(row, error)`` for each row that fails: an
+    all-zero sample, or a solve past the step limit."""
     basis = archive.signature_matrix()
     x, stopped = _nnls_rows(basis, rows)
     scores = _cosines(rows, _combine(x, basis))
-    accepted = scores >= cfg.t - cfg.score_tolerance
-    outcomes = []
-    for sample_id, ok, value, accept, attributed, coefficients in zip(
-            sample_ids, stopped, scores.tolist(), accepted.tolist(),
-            np.argmax(x, axis=1).tolist(), x):
-        if not ok:
-            outcomes.append(SigArchiveError(NNLS_STEP_LIMIT))
-        elif math.isnan(value):
-            outcomes.append(ValidationError(_ZERO_SAMPLE))
-        else:
-            entry = archive.entries[attributed]
-            outcomes.append(Prediction(
-                sample_id=sample_id,
-                decision=DECISION_CLASSIFIED if accept else DECISION_REJECTED,
-                label=entry.label if accept else None,
-                score=value,
-                attribution=entry.path,
-                coefficients=coefficients,
-            ))
-    return outcomes
+    ok = stopped & ~np.isnan(scores)
+    errors = [(i, ValidationError(_ZERO_SAMPLE) if stopped[i] else
+               SigArchiveError(NNLS_STEP_LIMIT)) for i in np.flatnonzero(~ok).tolist()]
+    x, scores = x[ok], scores[ok]
+    return (tuple(compress(sample_ids, ok.tolist())), scores, np.argmax(x, axis=1),
+            scores >= cfg.t - cfg.score_tolerance, x), errors
 
 
 def classify_batch(
     samples: FeatureMatrix,
     archive: SignatureArchive,
     cfg: InferenceConfig = InferenceConfig(),
-) -> tuple[list[Prediction], list[BatchFailure]]:
+) -> tuple[Predictions, list[BatchFailure]]:
     """Classify every column of ``samples`` in order, as :func:`classify`
     would, one column at a time, with the same bits.
 
     The samples go ``_BLOCK`` at a time through the decision path that
-    :func:`classify` runs on one.  Per-sample errors (an all-zero sample, a
-    solve past the step limit, an empty archive) are collected as
-    :class:`BatchFailure` records instead of aborting the batch.
+    :func:`classify` runs on one, into one :class:`Predictions`.  Per-sample
+    errors (an all-zero sample, a solve past the step limit) are collected
+    as :class:`BatchFailure` records instead of aborting the batch.
 
     Raises ``ValidationError`` unless ``samples`` has the archive's feature
     count and, where it names its features, the archive's names in order.
@@ -184,14 +186,12 @@ def classify_batch(
     if samples.feature_names not in (None, archive.feature_names):
         raise ValidationError("sample feature names differ from the archive's "
                               "(names or order)")
-    ids = samples.sample_ids
-    predictions, failures = [], []
+    blocks, failures = [], []
     for start in range(0, samples.n_samples, _BLOCK):
-        rows = samples.values[:, start:start + _BLOCK].T
-        outcomes = _classify_rows(ids[start:start + _BLOCK], rows, archive, cfg)
-        for j, outcome in enumerate(outcomes, start):
-            if isinstance(outcome, Prediction):
-                predictions.append(outcome)
-            else:
-                failures.append(BatchFailure(j, ids[j], str(outcome)))
-    return predictions, failures
+        ids = samples.sample_ids[start:start + _BLOCK]
+        columns, errors = _classify_rows(ids, samples.values[:, start:start + _BLOCK].T,
+                                         archive, cfg)
+        blocks.append(columns)
+        failures += [BatchFailure(start + i, ids[i], str(exc)) for i, exc in errors]
+    sample_ids, *arrays = zip(*blocks)
+    return Predictions(tuple(chain(*sample_ids)), *map(np.concatenate, arrays)), failures

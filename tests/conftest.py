@@ -15,8 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from sigarchive import (ArchiveEntry, FeatureMatrix, RiskCoveragePoint, SignatureArchive,
-                        SolverOptions)
+from sigarchive import (ArchiveEntry, FeatureMatrix, Predictions, RiskCoveragePoint,
+                        SignatureArchive, SolverOptions)
 from sigarchive import docio, linalg
 from sigarchive.seeding import STREAM_NMF_INIT, generator
 
@@ -56,6 +56,35 @@ def toy_archive(signatures, labels) -> SignatureArchive:
     )
     names = tuple(f"f{i}" for i in range(sigs.shape[0]))
     return SignatureArchive(entries, names, {"toy": True})
+
+
+def stack_predictions(predictions, archive) -> Predictions:
+    """The columns that a list of ``Prediction`` objects stack into, in order."""
+    paths = [e.path for e in archive.entries]
+    return Predictions(
+        tuple(p.sample_id for p in predictions),
+        np.array([p.score for p in predictions], dtype=np.float64),
+        np.array([paths.index(p.attribution) for p in predictions], dtype=np.intp),
+        np.array([p.decision == docio.DECISION_CLASSIFIED for p in predictions], dtype=bool),
+        np.array([p.coefficients for p in predictions]).reshape(len(predictions), len(paths)))
+
+
+def take_rows(predictions: Predictions, rows) -> Predictions:
+    """The given rows of a batch's columns, in the given order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return Predictions(tuple(predictions.sample_ids[i] for i in rows), predictions.scores[rows],
+                       predictions.attributed[rows], predictions.classified[rows],
+                       predictions.coefficients[rows])
+
+
+def assert_same_bits(got: Predictions, want: Predictions) -> None:
+    """Equal ids, and every column with the same dtype, shape and bytes."""
+    assert got.sample_ids == want.sample_ids
+    for name in ("scores", "attributed", "classified", "coefficients"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got == want
 
 
 def nnls_exhaustive(a, b):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import fm
+from conftest import assert_same_bits, fm
 from sigarchive import (
     ArchiveEntry,
     ArchiveFormatError,
@@ -390,6 +390,10 @@ class TestArchiveTypes:
         with pytest.raises(ValidationError):
             SignatureArchive((entry,), ("f0", "f1", "f2"), {})
 
+    def test_archive_needs_an_entry(self):
+        with pytest.raises(ValidationError, match="at least one entry"):
+            SignatureArchive((), ("f0", "f1"), {})
+
     def test_archive_rejects_duplicate_paths(self):
         entry = ArchiveEntry(np.array([1.0, 0.0]), "A", 1.0, 1, "p", 0)
         with pytest.raises(ValidationError):
@@ -458,7 +462,7 @@ class TestPersistence:
         cfg = InferenceConfig(t=0.9)
         before, _ = classify_batch(data.features, archive, cfg)
         after, _ = classify_batch(data.features, reloaded, cfg)
-        assert before == after
+        assert_same_bits(after, before)
 
     def test_save_is_deterministic(self, built, tmp_path):
         _, archive = built

@@ -16,7 +16,7 @@ import pytest
 from conftest import cli_env
 
 from sigarchive import (BuildConfig, EnsembleConfig, SigArchiveError, build_archive, cli,
-                        load_csv, rank, save_archive)
+                        inference, load_csv, rank, save_archive)
 from sigarchive.archive import ROOT_PATH
 from sigarchive.seeding import node_seed
 
@@ -223,6 +223,28 @@ class TestClassify:
                 f"{e['path']} 0"
                 for e in json.loads((workspace / "arc.json").read_text())["entries"])]
 
+    def test_no_prediction_object_on_the_cli_path(self, workspace, tmp_path, monkeypatch):
+        # in-process: classify writes its rows from the batch's columns
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Prediction was built")
+
+        monkeypatch.setattr(inference, "Prediction", refuse)
+        assert cli.main(["classify", "--archive", str(workspace / "arc.json"), "--features",
+                         str(workspace / "features.csv"), "--output", str(tmp_path / "p.csv"),
+                         "--threshold", "0.95"]) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (workspace / "predictions.csv").read_bytes()
+
+    def test_archive_without_entries_exits_2(self, workspace, tmp_path):
+        archive = json.loads((workspace / "arc.json").read_text())
+        archive["entries"] = []
+        (tmp_path / "arc.json").write_text(json.dumps(archive))
+        result = run(("classify", "--archive", "arc.json", "--features",
+                      workspace / "features.csv", "--output", "p.csv"), tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == ("error: malformed archive document: "
+                                 "archive needs at least one entry\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["arc.json"]
+
     def test_empty_features_file_exits_2(self, workspace, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -341,6 +363,17 @@ class TestEvaluate:
         curve = (tmp_path / "rep.curve.csv").read_text().splitlines()
         assert curve[0] == "threshold,coverage,risk"
         assert len(curve) == 1 + len(doc["rc_curve"])
+
+    def test_tables_with_a_byte_order_mark_read_as_without(self, tmp_path):
+        self.write_pair(tmp_path, "\ufeffsample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        (tmp_path / "p.csv").write_text("\ufeff" + (tmp_path / "p.csv").read_text())
+        result = run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                      "--report", "bom.json"), tmp_path)
+        assert result.returncode == 0, result.stderr
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        assert run(("evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                    "--report", "plain.json"), tmp_path).returncode == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_all_correct_run_scores_zero_aurc(self, tmp_path):
         self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,x,0\n")

@@ -17,6 +17,7 @@ from sigarchive import (
     rejection_rates,
     risk_coverage_curve,
 )
+from sigarchive.docio import Records, format_float
 
 C = "classified"
 R = "rejected"
@@ -274,10 +275,13 @@ class TestEvaluatePredictions:
         assert doc["averaging"] == "macro-over-covered-truth-classes"
         assert doc["n_samples"] == 5 and doc["n_novel"] == 1
         assert isinstance(doc["aurc"], float)
-        assert len(doc["rc_curve"]) == 7
         assert {p["label"] for p in doc["per_class"]} == {"a", "b"}
-        for point in doc["rc_curve"]:
-            assert set(point) == {"threshold", "coverage", "risk"}
+        # the curve comes rendered, each value as format_float writes it
+        curve = doc["rc_curve"]
+        assert isinstance(curve, Records) and curve.keys == ("threshold", "coverage", "risk")
+        assert curve.rows == [tuple(map(format_float, (p.threshold, p.coverage, p.risk)))
+                              for p in self.build().rc_curve]
+        assert len(curve.rows) == 7
 
     def test_none_metrics_serialize_as_null(self):
         report = evaluate_predictions([R], ["a"], [0.1], ["a"], [False])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fm, toy_archive
+from conftest import assert_same_bits, fm, take_rows, toy_archive
 from sigarchive import (
     DECISION_CLASSIFIED,
     DECISION_REJECTED,
@@ -167,7 +167,7 @@ class TestClassifyBatch:
     def test_predictions_follow_input_order(self, axis_archive, mixtures):
         preds, failures = classify_batch(mixtures, axis_archive, InferenceConfig(t=0.5))
         assert not failures
-        assert [p.sample_id for p in preds] == list(mixtures.sample_ids)
+        assert preds.sample_ids == mixtures.sample_ids
 
     def test_permuting_samples_permutes_predictions(self, axis_archive, mixtures):
         base, _ = classify_batch(mixtures, axis_archive, InferenceConfig(t=0.5))
@@ -175,12 +175,12 @@ class TestClassifyBatch:
         shuffled = FeatureMatrix(mixtures.values[:, order],
                                  tuple(mixtures.sample_ids[i] for i in order))
         perm, _ = classify_batch(shuffled, axis_archive, InferenceConfig(t=0.5))
-        assert perm == [base[i] for i in order]
+        assert_same_bits(perm, take_rows(base, order))
 
     def test_zero_sample_becomes_failure_record(self, axis_archive):
         values = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         preds, failures = classify_batch(fm(values), axis_archive)
-        assert [p.sample_id for p in preds] == ["s0"]
+        assert preds.sample_ids == ("s0",)
         assert failures == [BatchFailure(1, "s1", failures[0].message)]
         assert "all-zero" in failures[0].message
 
@@ -208,10 +208,11 @@ class TestClassifyBatch:
         preds, failures = classify_batch(split.test.features, archive,
                                          InferenceConfig(t=0.9))
         assert not failures
-        by_id = dict(zip(split.test.features.sample_ids, split.test.labels))
-        novel = [p for p in preds if by_id[p.sample_id] == "class3"]
-        seen = [p for p in preds if by_id[p.sample_id] != "class3"]
-        assert len(novel) == 50 and len(seen) == 30
-        assert all(p.decision == DECISION_REJECTED for p in novel)
-        assert all(p.label == by_id[p.sample_id] for p in seen)
-        assert max(p.score for p in novel) < 0.5 < min(p.score for p in seen)
+        truth = np.array(split.test.labels)
+        novel = truth == "class3"
+        assert preds.sample_ids == split.test.features.sample_ids
+        assert novel.sum() == 50 and (~novel).sum() == 30
+        assert not preds.classified[novel].any() and preds.classified[~novel].all()
+        labels = np.array(archive.labels())[preds.attributed]
+        assert (labels[~novel] == truth[~novel]).all()
+        assert preds.scores[novel].max() < 0.5 < preds.scores[~novel].min()

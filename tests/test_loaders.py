@@ -309,6 +309,27 @@ def test_read_table_agrees_with_the_row_by_row_reader(scratch, rows, header):
     assert _table_outcome(read_table, path) == _table_outcome(_read_table_row_by_row, path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("feature,a,b,b,a\nf0,1,2,3,4\n", "sample ids must be unique; 'b' repeats"),
+    ("feature,a\nf1,1\nf0,2\nf0,3\nf1,4\n", "feature names must be unique; 'f0' repeats"),
+    ('feature,a\nf1,1\nf0,"2"\nf0,3\n', "feature names must be unique; 'f0' repeats"),
+])
+def test_repeated_id_or_name_is_named_with_the_path(tmp_path, text, message):
+    # the first repeat is named, with one message from either reading path
+    path = tmp_path / "features.csv"
+    path.write_text(text)
+    for load in (load_features_csv, _csv_reader_path):
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+def test_labels_table_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbfsample_id,label\na,x\nb,y\n")
+    assert dataio.load_labels_csv(path) == {"a": "x", "b": "y"}
+
+
 def test_duplicate_sample_ids_keep_their_own_message(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("feature,a,a\nf0,1,2\n")

@@ -51,12 +51,13 @@ def test_cli_calls_each_traced_stage_through_its_module_attribute(tmp_path, monk
     assert {attr for module, attr in load_spans().TRACED
             if module == "cli" and attr != "main"} == set(CLI_STAGES)
     cli = importlib.import_module("sigarchive.cli")
-    calls = dict.fromkeys(CLI_STAGES, 0)
+    calls = {name: [] for name in CLI_STAGES}
     for name in CLI_STAGES:
-        def counting(*args, _stage=getattr(cli, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _stage(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counting)
+        def recording(*args, _stage=getattr(cli, name), _name=name, **kwargs):
+            result = _stage(*args, **kwargs)
+            calls[_name].append((args, kwargs, result))
+            return result
+        monkeypatch.setattr(cli, name, recording)
     monkeypatch.chdir(tmp_path)
 
     assert cli.main(["synth", "--n-features", "12", "--n-classes", "3",
@@ -71,4 +72,8 @@ def test_cli_calls_each_traced_stage_through_its_module_attribute(tmp_path, monk
         "sample_id,label,novel\n" + "".join(f"{row},0\n" for row in labels))
     assert cli.main(["evaluate", "--predictions", "predictions.csv", "--truth", "truth.csv",
                      "--report", "report.json"]) == 0
-    assert calls == dict.fromkeys(CLI_STAGES, 1)
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(CLI_STAGES, 1)
+    # the classify span is described by its first argument, the samples' FeatureMatrix
+    assert load_spans()._describers()["classify_batch"](*calls["classify_batch"][0]) == \
+        {"samples": 30}
+

@@ -14,6 +14,7 @@ from sigarchive import (
     GroundTruth,
     LabeledDataset,
     Prediction,
+    Predictions,
     SignatureArchive,
     UnresolvedGroup,
 )
@@ -37,6 +38,8 @@ OTHER_ENTRY = ArchiveEntry(unit(2.0, 1.0, 2.0), "b", 0.9, 12, "root/k2/c1", 0)
 ARCHIVE = SignatureArchive((ENTRY, OTHER_ENTRY), ("f0", "f1", "f2"), {"seed": 0},
                            (UnresolvedGroup("root", ("s9",), "reason"),))
 PREDICTION = Prediction("s0", "classified", "a", 0.9, "root/k2/c0", np.array([0.5, 0.0]))
+PREDICTIONS = Predictions(("s0", "s1"), np.array([0.9, 0.4]), np.array([0, 1]),
+                          np.array([True, False]), np.array([[0.5, 0.0], [0.1, 0.2]]))
 DATASET = LabeledDataset(MATRIX, ("a", "b"))
 PAIR = FactorPair(np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 2.0]]), (3.0, 1.0), 0, 4)
 TRUTH = GroundTruth(np.eye(3)[:, :2], np.array([[1.0, 0.0], [0.0, 2.0]]), ("a", "b"), None)
@@ -54,6 +57,9 @@ CASES = [
     (PREDICTION, [{"sample_id": "s1"}, {"decision": "rejected", "label": None},
                   {"label": "b"}, {"score": 0.8}, {"attribution": "root/k2/c1"},
                   {"coefficients": bumped(PREDICTION.coefficients)}]),
+    (PREDICTIONS, [{"sample_ids": ("s0", "s2")}, {"scores": bumped(PREDICTIONS.scores)},
+                   {"attributed": np.array([1, 1])}, {"classified": np.array([True, True])},
+                   {"coefficients": bumped(PREDICTIONS.coefficients)}]),
     (DATASET, [{"features": replace(MATRIX, values=bumped(MATRIX.values))},
                {"labels": ("a", "a")}]),
     (PAIR, [{"w": bumped(PAIR.w)}, {"h": bumped(PAIR.h)}, {"objective_trace": (3.0, 0.5)},
