@@ -271,6 +271,78 @@ def _dominant_rows(h: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def _fork_subtrees(visit, jobs: list, processes: int) -> list:
+    """``[visit(*job) for job in jobs]`` in ``processes`` forked workers.
+
+    Worker ``i`` visits jobs ``i``, ``i + processes``, ... and sends its
+    results, or its exception, back through a pipe of its own.  Sharing no
+    queue or lock, a worker killed mid-job fails the build instead of
+    stalling it.  Kills stay blocked until the workers exist to be stopped,
+    and the workers are killed and reaped however this ends.
+    """
+    import pickle
+    import signal
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+    pids, pipes = [], []
+    try:
+        for i in range(processes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _subtree_worker(visit, jobs[i::processes], read, write, mask)  # never returns
+            pids.append(pid)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results = []
+        for pipe in pipes:
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise SigArchiveError("a build worker ended without its result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return [results[i % processes][i // processes] for i in range(len(jobs))]
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _subtree_worker(visit, jobs: list, read: int, write: int, mask) -> None:
+    """A worker of :func:`_fork_subtrees`.  It ignores SIGINT (an interrupt
+    stops the parent, which stops the workers), dies by SIGTERM, and gets one
+    from Linux if the parent dies.  It writes ``(True, results)`` or
+    ``(False, exception)`` to ``write``, and exits."""
+    code = 1
+    try:
+        import ctypes
+        import pickle
+        import signal
+
+        os.close(read)
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            payload = True, [visit(*job) for job in jobs]
+        except Exception as exc:
+            payload = False, exc
+        with open(write, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def build_archive(
     x: FeatureMatrix,
     labels: Sequence[str],
@@ -280,9 +352,11 @@ def build_archive(
 ) -> tuple[SignatureArchive, BuildReport]:
     """Build a labeled signature archive from training data.
 
-    ``workers`` above 1 runs the ensemble members of every rank scan in one
-    forked pool of ``min(workers, usable CPUs, members per rank)`` processes,
-    stopped however the build ends; no output depends on it.
+    ``workers`` above 1 forks ``min(workers, usable CPUs, those clusters)``
+    workers at the first node with two or more mixed clusters to recurse
+    into; each builds whole subtrees, one at a time (:func:`_fork_subtrees`).
+    They are stopped however the build ends, and no output depends on them.
+    A build whose nodes recurse into one cluster at most runs in one process.
 
     Raises
     ------
@@ -299,35 +373,22 @@ def build_archive(
         raise ValidationError("labels must be nonempty strings")
     select_rank = __getattr__("select_rank")
 
-    entries: list[ArchiveEntry] = []
-    unresolved: list[UnresolvedGroup] = []
-    node_reports: list[NodeReport] = []
-    pool = None
-
-    def members_mapper():
-        nonlocal pool
-        # A scan queues one rank's members at a time, so more workers would idle.
-        if (pool is None and workers > 1 and (n := min(
-                workers, len(os.sched_getaffinity(0)), cfg.ensemble.n_perturbations)) > 1):
-            import multiprocessing  # ~15 ms, paid only by builds that fork
-            import signal
-            # The workers ignore SIGINT: an interrupt stops the build, which stops them.
-            pool = multiprocessing.get_context("fork").Pool(
-                n, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-        return map if pool is None else pool.imap
-
-    def park(indices: np.ndarray, path: str, reason: str) -> None:
-        ids = tuple(x.sample_ids[i] for i in indices)
-        unresolved.append(UnresolvedGroup(path, ids, reason))
-
-    def visit(indices: np.ndarray, path: str, depth: int) -> None:
+    def visit(indices: np.ndarray, path: str, depth: int, may_fork: bool = workers > 1):
+        """This node's subtree: its archive entries, unresolved groups and node
+        reports, in the order of a depth-first walk in cluster order."""
         size = len(indices)
         node_labels = [all_labels[i] for i in indices]
+        entries: list[ArchiveEntry] = []
+        unresolved: list[UnresolvedGroup] = []
 
-        def stop(reason: str) -> None:
+        def park(members: np.ndarray, where: str, reason: str) -> None:
+            ids = tuple(x.sample_ids[i] for i in members)
+            unresolved.append(UnresolvedGroup(where, ids, reason))
+
+        def stop(reason: str):
             park(indices, path, reason)
-            node_reports.append(NodeReport(path, depth, size, None,
-                                           "stopped:" + reason, None, ()))
+            return [], unresolved, [NodeReport(path, depth, size, None,
+                                               "stopped:" + reason, None, ())]
 
         if size < cfg.min_cluster_size:
             return stop(REASON_NODE_TOO_SMALL)
@@ -346,7 +407,7 @@ def build_archive(
             ens = replace(cfg.ensemble, k_min=k_min, k_max=k_max, base_seed=seed)
         try:
             if ens is not None:
-                report = select_rank(sub, ens, mapper=members_mapper())
+                report = select_rank(sub, ens)
                 k, rule, per_k = report.selected_k, report.selection_rule_fired, report.per_k
             pair = normalize_factor_pair(nmf_factorize(sub, k, seed))
         except SigArchiveError:
@@ -354,7 +415,7 @@ def build_archive(
 
         assignment = _dominant_rows(pair.h)  # pair is normalized already
         cluster_reports: list[ClusterReport] = []
-        recursions: list[tuple[np.ndarray, str]] = []
+        jobs: list[tuple[np.ndarray, str, int]] = []
 
         orphans = indices[assignment == -1]
         if len(orphans):
@@ -379,22 +440,23 @@ def build_archive(
                 park(members, cpath, REASON_NOT_SEPARABLE)
                 outcome = "unresolved:" + REASON_NOT_SEPARABLE
             else:
-                recursions.append((members, cpath))
+                jobs.append((members, cpath, depth + 1))
                 outcome = "recursed"
             cluster_reports.append(ClusterReport(c, len(members), verdict.majority_label,
                                                  verdict.purity, outcome))
 
-        node_reports.append(NodeReport(path, depth, size, k, rule, per_k,
-                                       tuple(cluster_reports)))
-        for members, cpath in recursions:
-            visit(members, cpath, depth + 1)
+        subtree = entries, unresolved, [NodeReport(path, depth, size, k, rule, per_k,
+                                                   tuple(cluster_reports))]
+        n = min(workers, len(os.sched_getaffinity(0)), len(jobs)) if may_fork else 1
+        # a worker's subtrees fork no workers of their own
+        children = (_fork_subtrees(visit, [(*job, False) for job in jobs], n) if n > 1
+                    else [visit(*job, may_fork) for job in jobs])
+        for child in children:
+            for mine, theirs in zip(subtree, child):
+                mine += theirs
+        return subtree
 
-    try:
-        visit(np.arange(x.n_samples), ROOT_PATH, 0)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    entries, unresolved, node_reports = visit(np.arange(x.n_samples), ROOT_PATH, 0)
 
     if not entries:
         raise DegenerateBuildError(

@@ -4,9 +4,11 @@ Four subcommands wire the pipeline end to end.  Exit codes are stable:
 0 success, 1 runtime or numeric failure, 2 usage or validation failure.
 Input CSV tables need a header row, one cell per column, unique first-column
 ids and the same ids in paired files; the first bad row or cell is named
-(exit 2).  All randomness flows from ``--seed``.  ``build --workers N`` runs
-rank selection's ensemble members in ``min(N, usable CPUs, members per rank)``
-processes (on the calling thread if 1); it never changes any output byte.
+(exit 2).  All randomness flows from ``--seed``.  ``build --workers N`` builds
+sibling subtrees in ``min(N, usable CPUs, subtrees)`` processes, forked at the
+first node with two or more (on the calling thread if 1, and for a build with
+no sibling subtrees); it never changes any output byte.  Run through
+:func:`run`, SIGINT and SIGTERM end a command with one line and no output.
 
 Each subcommand imports only what it runs: ``evaluate`` never loads numpy,
 ``classify`` never loads rank selection, the metrics or logging.  The stages
@@ -309,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[docio.MODE_PER_FEATURE_MAX, docio.MODE_NONE])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
-                   help="processes for the rank-selection ensemble, at most min(N, "
-                        "usable CPUs, members per rank); 1 runs it on the calling "
-                        "thread; outputs are identical for any value")
+                   help="processes that build sibling subtrees, at most min(N, "
+                        "usable CPUs, subtrees); 1, or a build with no sibling "
+                        "subtrees, runs on the calling thread; outputs are "
+                        "identical for any value")
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("classify", help="classify samples against an archive")
@@ -352,15 +355,37 @@ def run() -> None:
     """The console entry point: exit with ``main()``'s code, skipping the
     interpreter's last garbage collection of a heap the exit frees anyway.
 
-    ``gc.freeze`` runs after the exit hooks registered later (logging's and
-    multiprocessing's), and the streams are still flushed.  ``main`` changes
-    no process-wide state, since tests and library callers run it in theirs.
+    ``gc.freeze`` runs after the exit hooks registered later (logging's),
+    and the streams are still flushed.  ``main`` changes no process-wide
+    state, since tests and library callers run it in theirs.  SIGINT and
+    SIGTERM raise ``KeyboardInterrupt`` in ``main``, so that every cleanup
+    runs; then one ``error: interrupted`` line is printed, and the process
+    dies by that signal's default action.
     """
     import atexit
     import gc
+    import signal
 
+    received = []
+
+    def interrupted(signum, frame):
+        received.append(signum)
+        raise KeyboardInterrupt
+
+    handlers = {sig: signal.signal(sig, interrupted) for sig in (signal.SIGINT, signal.SIGTERM)}
     atexit.register(gc.freeze)
-    sys.exit(main())
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr, flush=True)
+        signum = received[0] if received else signal.SIGINT
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
+        raise
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

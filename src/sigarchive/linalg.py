@@ -235,12 +235,13 @@ def unit_columns(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / divisors, divisors
 
 
-def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
-    """``frobenius_norm(x - w @ h)``, bit for bit, in one n×m buffer."""
-    r = w.dot(h)
+def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray):
+    """``frobenius_norm(x - w @ h)``, bit for bit, in one buffer; for a stack
+    of matrices, an array of each one's, with the bits it has alone."""
+    r = np.matmul(w, h)
     np.subtract(x, r, out=r)
     np.square(r, out=r)
-    return math.sqrt(np.add.reduce(r.ravel()))
+    return np.sqrt(np.add.reduce(r.reshape(*r.shape[:-2], -1), axis=-1))
 
 
 def _update(factor: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -260,12 +261,8 @@ def nmf_factorize(
 
     Multiplicative updates for the Frobenius objective, with factors drawn
     i.i.d. uniform on (0, 1] and scaled by ``sqrt(mean(x) / k)``.  The run is
-    bitwise reproducible for identical ``(x, k, seed, opts)``.
-
-    No update clamps the factors, as none can make them negative: ``x`` is
-    nonnegative, the initial factors positive, every denominator at least
-    ``_UPDATE_EPS``.  ``ndarray.dot`` calls the same BLAS routine (gemm, or
-    syrk for ``w.T.dot(w)``) as ``@`` with less dispatch, so no bit changes.
+    bitwise reproducible for identical ``(x, k, seed, opts)``.  It is the
+    stack of one of :func:`nmf_stack`.
 
     Raises
     ------
@@ -274,46 +271,87 @@ def nmf_factorize(
     DegenerateInputError
         If ``x`` is entirely zero.
     """
-    values = x.values
-    n, m = values.shape
+    pair, = nmf_stack(x.values[None], k, (seed,), opts)
+    if isinstance(pair, SigArchiveError):
+        raise pair
+    return pair
+
+
+def nmf_stack(
+    xs: np.ndarray,
+    k: int,
+    seeds: Sequence[int],
+    opts: SolverOptions = SolverOptions(),
+) -> list[FactorPair | SigArchiveError]:
+    """:func:`nmf_factorize` of each matrix ``xs[i]`` with ``seeds[i]``, as one
+    multiplicative update of (members, n, k) and (members, k, m) stacks.
+
+    ``np.matmul`` makes each member's BLAS call (gemm, or syrk for ``wᵀw``)
+    as the member alone makes it, and every other step is elementwise or
+    sums over one member, so each member has the bits it has alone.  A
+    member keeps its own trace, uphill guard and stop test, and leaves the
+    stack when it stops; one that fails comes back as its ``SigArchiveError``.
+    No update clamps the factors, as none can make them negative: ``xs`` is
+    nonnegative, the initial factors positive, every denominator at least
+    ``_UPDATE_EPS``.  Raises ``ValidationError`` for ``k`` outside
+    ``[1, min(n, m)]``.
+    """
+    _, n, m = xs.shape
     if k < 1 or k > min(n, m):
         raise ValidationError(
             f"rank k={k} must lie in [1, min(n={n}, m={m})]")
-    mean = float(values.mean())
-    if mean == 0.0:
-        raise DegenerateInputError("cannot factorize an all-zero matrix")
-
-    rng = generator(seed, STREAM_NMF_INIT)
-    scale = math.sqrt(mean / k)
+    means = [float(values.mean()) for values in xs]
+    results: list = [None if mean else DegenerateInputError(
+        "cannot factorize an all-zero matrix") for mean in means]
+    live = [i for i, mean in enumerate(means) if mean]
+    if not live:
+        return results
+    inits = [(generator(seeds[i], STREAM_NMF_INIT), math.sqrt(means[i] / k)) for i in live]
     # 1 - U[0, 1) lands in (0, 1], keeping every initial entry strictly positive.
-    w = (1.0 - rng.random((n, k))) * scale
-    h = (1.0 - rng.random((k, m))) * scale
-
-    trace = [_frobenius(values, w, h)]
+    w = np.stack([(1.0 - rng.random((n, k))) * scale for rng, scale in inits])
+    h = np.stack([(1.0 - rng.random((k, m))) * scale for rng, scale in inits])
+    x = xs if len(live) == len(xs) else xs[live]
+    traces = [[t] for t in _frobenius(x, w, h).tolist()]
     kept = w, h  # factors of the last evaluated sweep; each sweep allocates anew
-    stop = STOP_CAPPED
     for sweep in range(1, opts.max_iter + 1):
-        h = _update(h, w.T.dot(values), w.T.dot(w).dot(h))
-        w = _update(w, values.dot(h.T), w.dot(h.dot(h.T)))
+        wt = w.transpose(0, 2, 1)
+        h = _update(h, np.matmul(wt, x), np.matmul(np.matmul(wt, w), h))
+        ht = h.transpose(0, 2, 1)
+        w = _update(w, np.matmul(x, ht), np.matmul(w, np.matmul(h, ht)))
         # Only the sweeps just before and at a checkpoint, and the last one,
         # are read by a decision, so only they pay for a residual.
         phase = sweep % opts.check_every
         if phase not in (0, opts.check_every - 1) and sweep != opts.max_iter:
             continue
-        objective = _frobenius(values, w, h)
-        if objective > trace[-1] + TRACE_TOLERANCE:
-            # Round-off pushed the objective uphill; keep the last evaluated factors.
-            w, h = kept
-            stop = STOP_UPHILL
+        stay = []
+        for j, objective in enumerate(_frobenius(x, w, h).tolist()):
+            trace = traces[j]
+            if objective > trace[-1] + TRACE_TOLERANCE:
+                # Round-off pushed the objective uphill; keep the last evaluated factors.
+                stop, (ws, hs) = STOP_UPHILL, kept
+            else:
+                trace.append(objective)
+                prev = trace[-2]
+                if phase == 0 and (prev == 0.0 or (prev - objective) / prev < opts.tol):
+                    stop = STOP_CONVERGED
+                elif sweep == opts.max_iter:
+                    stop = STOP_CAPPED
+                else:
+                    stay.append(j)
+                    continue
+                ws, hs = w, h
+            try:
+                results[live[j]] = FactorPair(ws[j], hs[j], tuple(trace), seeds[live[j]],
+                                              sweep, stop)
+            except SigArchiveError as exc:
+                results[live[j]] = exc
+        if not stay:
             break
+        if len(stay) < len(live):
+            x, w, h = x[stay], w[stay], h[stay]
+            traces, live = [traces[j] for j in stay], [live[j] for j in stay]
         kept = w, h
-        trace.append(objective)
-        if phase == 0:
-            prev, cur = trace[-2], trace[-1]
-            if prev == 0.0 or (prev - cur) / prev < opts.tol:
-                stop = STOP_CONVERGED
-                break
-    return FactorPair(w, h, tuple(trace), seed, sweep, stop)
+    return results
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -454,4 +492,4 @@ def relative_error(x: FeatureMatrix, pair: FactorPair) -> float:
     denom = frobenius_norm(x.values)
     if denom == 0.0:
         raise DegenerateInputError("relative error is undefined for an all-zero matrix")
-    return _frobenius(x.values, pair.w, pair.h) / denom
+    return float(_frobenius(x.values, pair.w, pair.h)) / denom

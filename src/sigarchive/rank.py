@@ -16,13 +16,14 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, SigArchiveError, ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .linalg import (STOP_REASONS, FactorPair, FeatureMatrix, SolverOptions,
-                     frobenius_norm, nmf_factorize, unit_columns)
+                     frobenius_norm, nmf_stack, unit_columns)
+from .linalg import nmf_factorize  # noqa: F401  bench/spans.py traces rank.nmf_factorize
 from .seeding import STREAM_PERTURB, generator
 
 logger = logging.getLogger(__name__)
@@ -32,6 +33,12 @@ RULE_FALLBACK = "fallback_best_silhouette"
 RULE_FORCED = "forced_single_candidate"
 
 _ERROR_SLACK = 0.02  # ensemble-noise allowance for the error-monotonicity diagnostic
+
+# Matrix bytes per stacked NMF run.  On 2 cores at one BLAS thread, one stack
+# of s members against s runs of one: 75 x 90 (54 kB a member) ran 1.4-1.6x
+# faster at 10-30 members; 75 x 360 and 40 x 600 (about 200 kB) ran 0.84-1.37x
+# at 2-6 members but 0.67-0.97x at 10-30.  1 MiB holds 4 or 5 of those.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,20 +200,11 @@ def ensemble_stability(clusters: Sequence[np.ndarray]) -> tuple[float, float]:
     return float(cluster_min.min()), float(pooled.mean())
 
 
-def _member(job: tuple[FeatureMatrix, int, int, SolverOptions]) -> FactorPair | SigArchiveError:
-    """One ensemble member's ``FactorPair``, or its ``SigArchiveError`` as a value."""
-    try:
-        return nmf_factorize(*job)
-    except SigArchiveError as exc:
-        return exc
-
-
 def select_rank(
     x: FeatureMatrix,
     cfg: EnsembleConfig,
     *,
     solver: SolverOptions = SolverOptions(),
-    mapper: Callable = map,
 ) -> RankSelectionReport:
     """Scan ranks upward from ``cfg.k_min`` and pick the largest stable rank.
 
@@ -219,23 +217,23 @@ def select_rank(
     If no rank qualifies the best-silhouette rank is returned with the
     fallback rule flagged; a single-candidate scan is flagged as forced.
 
-    ``mapper(_member, jobs)`` runs one rank's member factorizations and
-    yields their results in job order: ``map`` on the calling thread, or a
-    process pool's ``imap``.  The report does not depend on which.
+    One rank's members are factorized by :func:`nmf_stack`, in stacks of at
+    most ``_STACK_BYTES`` of matrix, each member with the bits it has alone.
     """
     n, m = x.values.shape
     if cfg.k_max > min(n, m):
         raise ValidationError(
             f"k_max={cfg.k_max} exceeds min(n={n}, m={m})")
 
-    perturbed = [perturb(x, cfg.noise_epsilon, cfg.base_seed + i)
-                 for i in range(cfg.n_perturbations)]
-    norms = [frobenius_norm(p.values) for p in perturbed]
+    seeds = [cfg.base_seed + i for i in range(cfg.n_perturbations)]
+    perturbed = np.stack([perturb(x, cfg.noise_epsilon, s).values for s in seeds])
+    norms = [frobenius_norm(v) for v in perturbed]
+    step = max(1, _STACK_BYTES // perturbed[0].nbytes)
     stats: list[RankStats] = []
     stable_above_one = False
     for k in range(cfg.k_min, cfg.k_max + 1):
-        results = mapper(_member, [(p, k, cfg.base_seed + i, solver)
-                                   for i, p in enumerate(perturbed)])
+        results = [fp for lo in range(0, len(seeds), step)
+                   for fp in nmf_stack(perturbed[lo:lo + step], k, seeds[lo:lo + step], solver)]
         pairs = [(i, fp) for i, fp in enumerate(results) if isinstance(fp, FactorPair)]
         failed = cfg.n_perturbations - len(pairs)
         if len(pairs) < 2:

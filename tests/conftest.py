@@ -17,6 +17,7 @@ import numpy as np
 
 from sigarchive import (ArchiveEntry, FeatureMatrix, Predictions, RiskCoveragePoint,
                         SignatureArchive, SolverOptions)
+from sigarchive.dataio import LabeledDataset
 from sigarchive import docio, linalg
 from sigarchive.seeding import STREAM_NMF_INIT, generator
 
@@ -34,10 +35,44 @@ def cli_env() -> dict[str, str]:
     return env
 
 
+def has_children() -> bool:
+    """Whether this process has a child process, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def fm(values, prefix="s") -> FeatureMatrix:
     """FeatureMatrix with generated sample ids for an array-like."""
     arr = np.asarray(values, dtype=np.float64)
     return FeatureMatrix(arr, tuple(f"{prefix}{j}" for j in range(arr.shape[1])))
+
+
+def families(n_families: int = 3, per_subfamily: int = 15, seed: int = 0) -> LabeledDataset:
+    """Families of two sub-families each, labelled ``f<i>.s<j>``.
+
+    A family owns four shared features, and each of its sub-families one
+    private feature more.  Built with ``--k-max 3`` and ``--min-cluster-size
+    5``, three families split at the root into three mixed clusters, one per
+    family, and each of those splits into its two sub-families: the root has
+    three sibling subtrees.
+    """
+    rng = np.random.default_rng(seed)
+    n = 6 * n_families
+    columns, labels = [], []
+    for f in range(n_families):
+        shared = np.zeros(n)
+        shared[6 * f:6 * f + 4] = rng.uniform(0.5, 1.0, 4)
+        for s in range(2):
+            signature = shared.copy()
+            signature[6 * f + 4 + s] = 0.8
+            columns += [signature * rng.uniform(0.75, 1.5) + rng.uniform(0.0, 0.02, n)
+                        for _ in range(per_subfamily)]
+            labels += [f"f{f}.s{s}"] * per_subfamily
+    values = np.column_stack(columns)
+    return LabeledDataset(fm(values), tuple(labels))
 
 
 def toy_archive(signatures, labels) -> SignatureArchive:
@@ -162,6 +197,58 @@ def nmf_every_sweep(x: FeatureMatrix, k: int, seed: int,
         w, h = w_new, h_new
         trace.append(objective)
         if sweep % opts.check_every == 0:
+            prev, cur = trace[-2], trace[-1]
+            if prev == 0.0 or (prev - cur) / prev < opts.tol:
+                stop = "converged"
+                break
+    return SimpleNamespace(w=w, h=h, trace=tuple(trace), sweeps=sweep, stop=stop)
+
+
+def nmf_one_member(x: FeatureMatrix, k: int, seed: int,
+                   opts: SolverOptions = SolverOptions()) -> SimpleNamespace:
+    """Reference NMF of one matrix: ``nmf_factorize``'s loop before it ran
+    stacks, on 2-d ``ndarray.dot`` products.
+
+    Residuals are evaluated at the sweeps just before and at each
+    checkpoint, and at the last sweep, as in ``nmf_factorize``, each one a
+    numpy pairwise sum over one C-order buffer.  Returns ``w``, ``h``,
+    ``trace``, ``sweeps`` and ``stop``.
+    """
+    values = x.values
+    n, m = values.shape
+    rng = generator(seed, STREAM_NMF_INIT)
+    scale = math.sqrt(float(values.mean()) / k)
+    w = (1.0 - rng.random((n, k))) * scale
+    h = (1.0 - rng.random((k, m))) * scale
+
+    def update(factor, num, den):
+        den += linalg._UPDATE_EPS
+        num /= den
+        return np.multiply(num, factor, out=num)
+
+    def residual(w, h):
+        r = w.dot(h)
+        np.subtract(values, r, out=r)
+        np.square(r, out=r)
+        return math.sqrt(np.add.reduce(r.ravel()))
+
+    trace = [residual(w, h)]
+    kept = w, h
+    stop = "capped"
+    for sweep in range(1, opts.max_iter + 1):
+        h = update(h, w.T.dot(values), w.T.dot(w).dot(h))
+        w = update(w, values.dot(h.T), w.dot(h.dot(h.T)))
+        phase = sweep % opts.check_every
+        if phase not in (0, opts.check_every - 1) and sweep != opts.max_iter:
+            continue
+        objective = residual(w, h)
+        if objective > trace[-1] + linalg.TRACE_TOLERANCE:
+            w, h = kept
+            stop = "uphill"
+            break
+        kept = w, h
+        trace.append(objective)
+        if phase == 0:
             prev, cur = trace[-2], trace[-1]
             if prev == 0.0 or (prev - cur) / prev < opts.tol:
                 stop = "converged"

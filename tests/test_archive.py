@@ -1,14 +1,12 @@
 """Hierarchical archive construction, persistence, and supporting helpers."""
 
-import multiprocessing
 import os
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, fm
+from conftest import assert_same_bits, families, fm, has_children
 from sigarchive import (
     ArchiveEntry,
     ArchiveFormatError,
@@ -33,7 +31,7 @@ from sigarchive.archive import (
     normalize_factor_pair,
     uniformity,
 )
-from sigarchive import rank
+from sigarchive import archive as archive_module, rank
 from sigarchive.dataio import SynthSpec, generate_synthetic
 from sigarchive.linalg import FactorPair
 
@@ -285,38 +283,29 @@ class TestBuildArchive:
 
 
 class TestBuildWorkers:
-    """``build_archive(workers=N)`` runs ensemble members in one process pool."""
+    """``build_archive(workers=N)`` runs sibling subtrees in one process pool."""
 
-    DATA, _ = generate_synthetic(SynthSpec(n_features=12, n_classes=3,
-                                           samples_per_class=20, seed=5))
+    DATA = families()  # the root recurses into three families, each into two sub-families
     CFG = BuildConfig(ensemble=EnsembleConfig(k_min=1, k_max=3, n_perturbations=4),
-                      min_cluster_size=5)   # root scan: up to 3 ranks x 4 members
+                      min_cluster_size=5)
 
     def build(self, workers):
         return build_archive(self.DATA.features, self.DATA.labels, self.CFG,
                              workers=workers)
 
     def test_pool_size_is_bounded_by_cpus_and_jobs(self, monkeypatch):
-        # A stand-in pool that runs jobs in-process, so no process is started
+        # A stand-in that visits the jobs in-process, so no process is started
         made = []
 
-        class Pool:
-            def __init__(self, processes, **kwargs):
-                made.append(processes)
+        def fork_subtrees(visit, jobs, processes):
+            made.append(processes)
+            return [visit(*job) for job in jobs]
 
-            imap = staticmethod(map)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            {"fork": SimpleNamespace(Pool=Pool)}.__getitem__)
+        monkeypatch.setattr(archive_module, "_fork_subtrees", fork_subtrees)
         serial = self.build(1)
-        # a scan queues one rank's 4 members at a time, so the pool never needs more
-        for cpus, workers, pool in ((3, 100_000, [3]), (64, 100_000, [4]),
+        assert [c.outcome for c in serial[1].nodes[0].clusters] == ["recursed"] * 3
+        # the root's three subtrees are the only jobs, and no worker forks again
+        for cpus, workers, pool in ((2, 100_000, [2]), (64, 100_000, [3]),
                                     (64, 2, [2]), (1, 8, []), (64, 1, [])):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             made.clear()
@@ -326,43 +315,48 @@ class TestBuildWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_member_runs_above_the_stop(self, workers, monkeypatch, tmp_path):
         # every scan sees rank 2 stable and rank 3 not, so none may reach rank 4
-        log, real = tmp_path / "ranks", rank.nmf_factorize
+        log, real = tmp_path / "ranks", rank.nmf_stack
 
-        def logged(x, k, seed, opts):  # appends from the pool's processes too
+        def logged(xs, k, seeds, opts):  # appends from the pool's processes too
             with open(log, "a") as fh:
-                fh.write(f"{k}\n")
-            return real(x, k, seed, opts)
+                fh.write(f"{k}\n" * len(seeds))
+            return real(xs, k, seeds, opts)
 
-        monkeypatch.setattr(rank, "nmf_factorize", logged)
+        monkeypatch.setattr(rank, "nmf_stack", logged)
         monkeypatch.setattr(rank, "ensemble_stability", lambda clusters: (
             {1: 1.0, 2: 0.9, 3: 0.2}.get(len(clusters), 0.9),) * 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = replace(self.CFG, ensemble=replace(self.CFG.ensemble, k_max=5))
         _, report = build_archive(self.DATA.features, self.DATA.labels, cfg, workers=workers)
         scans = [nd.per_k for nd in report.nodes if nd.per_k is not None]
-        assert scans and all([s.k for s in per_k] == [1, 2, 3] for per_k in scans)
+        assert len(scans) > 1 and all([s.k for s in per_k] == [1, 2, 3] for per_k in scans)
         assert sorted(map(int, log.read_text().split())) == sorted(
             s.k for per_k in scans for s in per_k for _ in range(4))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_member_errors_propagate_with_their_type(self, workers, monkeypatch):
-        def failing(*args):
-            raise ArithmeticError("not a SigArchiveError")
+        real = rank.nmf_stack
 
-        monkeypatch.setattr(rank, "nmf_factorize", failing)
+        def failing(xs, *args):
+            if xs.shape[2] < self.DATA.features.n_samples:  # below the root, so in the pool
+                raise ArithmeticError("not a SigArchiveError")
+            return real(xs, *args)
+
+        monkeypatch.setattr(rank, "nmf_stack", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(ArithmeticError, match="not a SigArchiveError"):
             self.build(workers)
-        assert not multiprocessing.active_children()
+        assert not has_children()
 
     def test_no_worker_outlives_the_build(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert self.build(2) == self.build(1)
-        assert not multiprocessing.active_children()
+        assert not has_children()
 
         x = fm(np.outer([1.0, 2.0, 0.5], np.linspace(1.0, 2.0, 30)))
         with pytest.raises(DegenerateBuildError):
             build_archive(x, ["A", "B"] * 15, self.CFG, workers=2)
-        assert not multiprocessing.active_children()
+        assert not has_children()
 
         def interrupt(*args):
             raise KeyboardInterrupt
@@ -370,7 +364,7 @@ class TestBuildWorkers:
         monkeypatch.setattr(rank, "cluster_ensemble_signatures", interrupt)
         with pytest.raises(KeyboardInterrupt):
             self.build(2)
-        assert not multiprocessing.active_children()
+        assert not has_children()
 
 
 class TestArchiveTypes:

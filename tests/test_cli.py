@@ -2,21 +2,22 @@
 
 import csv
 import json
-import multiprocessing
 import os
 import runpy
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, families, has_children
 
-from sigarchive import (BuildConfig, EnsembleConfig, SigArchiveError, build_archive, cli,
-                        inference, load_csv, rank, save_archive)
+from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, inference, load_csv,
+                        rank, save_archive, save_csv)
 from sigarchive.archive import ROOT_PATH
 from sigarchive.seeding import node_seed
 
@@ -44,6 +45,17 @@ def small_synth(root):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def families_workspace(tmp_path_factory):
+    """``conftest.families()`` built at ``--workers 1``: the root has three
+    sibling subtrees."""
+    ws = tmp_path_factory.mktemp("families")
+    save_csv(families(), ws / "features.csv", ws / "labels.csv")
+    result = run(BUILD_ARGS, ws)
+    assert result.returncode == 0, result.stderr
+    return ws
 
 
 @pytest.fixture(scope="module")
@@ -549,84 +561,93 @@ class TestDeterminism:
         assert ((tmp_path / "predictions.csv").read_bytes()
                 == (workspace / "predictions.csv").read_bytes())
 
-    def watched_build(self, workspace, root, workers, monkeypatch, factorize):
-        """Build the workspace's inputs in-process in ``root``, with
-        ``rank.nmf_factorize`` replaced by ``factorize`` (inherited by the
-        forked pool workers) and two usable CPUs."""
+    def watched_build(self, inputs, root, workers, monkeypatch, **patches):
+        """Build ``inputs``' features and labels in-process in ``root``, with
+        the named ``rank`` attributes replaced (the forked pool workers inherit
+        them) and two usable CPUs."""
         root.mkdir()
         for name in ("features.csv", "labels.csv"):
-            (root / name).write_bytes((workspace / name).read_bytes())
-        monkeypatch.setattr(rank, "nmf_factorize", factorize)
+            (root / name).write_bytes((inputs / name).read_bytes())
+        for name, value in patches.items():
+            monkeypatch.setattr(rank, name, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.chdir(root)
         assert cli.main(list(BUILD_ARGS) + ["--workers", str(workers)]) == 0
-        assert not multiprocessing.active_children()
+        assert not has_children()
 
-    def test_workers_1_runs_every_member_on_the_calling_thread(self, workspace, tmp_path,
-                                                               monkeypatch):
+    def test_workers_1_runs_every_member_on_the_calling_thread(self, families_workspace,
+                                                               tmp_path, monkeypatch):
         threads = []
-        factorize = rank.nmf_factorize
+        stack = rank.nmf_stack
 
         def recording(*args):
             threads.append((os.getpid(), threading.get_ident()))
-            return factorize(*args)
+            return stack(*args)
 
-        self.watched_build(workspace, tmp_path / "w1", 1, monkeypatch, recording)
+        self.watched_build(families_workspace, tmp_path / "w1", 1, monkeypatch,
+                           nmf_stack=recording)
         assert threads and set(threads) == {(os.getpid(), threading.get_ident())}
         for name in ("arc.json", "arc.report.json"):
-            assert (tmp_path / "w1" / name).read_bytes() == (workspace / name).read_bytes()
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (families_workspace / name).read_bytes())
 
-    def test_workers_2_runs_members_in_other_processes(self, workspace, tmp_path,
-                                                       monkeypatch):
-        pids = tmp_path / "pids.txt"
-        factorize = rank.nmf_factorize
+    def test_workers_2_runs_child_subtrees_in_other_processes(self, families_workspace,
+                                                              tmp_path, monkeypatch):
+        log, stack = tmp_path / "pids.txt", rank.nmf_stack
 
-        def recording(*args):
-            with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return factorize(*args)
+        def recording(xs, k, seeds, *rest):  # one stack holds each node's members
+            with open(log, "a") as fh:
+                fh.write(f"{seeds[0]} {os.getpid()}\n")
+            return stack(xs, k, seeds, *rest)
 
-        self.watched_build(workspace, tmp_path / "w2", 2, monkeypatch, recording)
-        seen = set(pids.read_text().split())
-        assert seen and str(os.getpid()) not in seen
+        self.watched_build(families_workspace, tmp_path / "w2", 2, monkeypatch,
+                           nmf_stack=recording)
+        nodes = json.loads((tmp_path / "w2" / "arc.report.json").read_text())["nodes"]
+        paths = {node_seed(0, nd["path"]): nd["path"] for nd in nodes if nd["per_k"]}
+        pids = {}
+        for seed, pid in (line.split() for line in log.read_text().splitlines()):
+            pids.setdefault(paths[int(seed)], set()).add(int(pid))
+        assert pids.pop(ROOT_PATH) == {os.getpid()}
+        assert len(pids) == 3 and os.getpid() not in set.union(*pids.values())
         for name in ("arc.json", "arc.report.json"):
-            assert (tmp_path / "w2" / name).read_bytes() == (workspace / name).read_bytes()
+            assert ((tmp_path / "w2" / name).read_bytes()
+                    == (families_workspace / name).read_bytes())
 
-    def test_member_failures_count_the_same_at_any_worker_count(self, workspace, tmp_path,
-                                                               monkeypatch):
-        failing_seed = node_seed(0, ROOT_PATH) + 2   # --seed 0; member 2 of the root
-        factorize = rank.nmf_factorize
+    def test_member_failures_count_the_same_at_any_worker_count(self, families_workspace,
+                                                               tmp_path, monkeypatch):
+        nodes = json.loads((families_workspace / "arc.report.json").read_text())["nodes"]
+        failing = {node_seed(0, nd["path"]) + 2 for nd in nodes}  # --seed 0; member 2
+        perturb = rank.perturb
 
-        def failing(x, k, seed, *rest):
-            if seed == failing_seed:
-                raise SigArchiveError("injected member failure")
-            return factorize(x, k, seed, *rest)
+        def failing_perturb(x, epsilon, seed):
+            # an all-zero member fails inside the stacked kernel
+            p = perturb(x, epsilon, seed)
+            return type(p)(p.values * 0.0, p.sample_ids) if seed in failing else p
 
         for workers in (1, 2):
-            self.watched_build(workspace, tmp_path / str(workers), workers, monkeypatch,
-                               failing)
-        root = json.loads((tmp_path / "1" / "arc.report.json").read_text())["nodes"][0]
-        assert [s["members"]["failed"] for s in root["per_k"]] == [1, 1, 1, 1]
+            self.watched_build(families_workspace, tmp_path / str(workers), workers,
+                               monkeypatch, perturb=failing_perturb)
+        nodes = json.loads((tmp_path / "1" / "arc.report.json").read_text())["nodes"]
+        assert [s["members"]["failed"] for s in nodes[0]["per_k"]] == [1, 1, 1, 1]
+        assert len(nodes) == 4 and all(
+            s["members"]["failed"] == 1 for nd in nodes for s in nd["per_k"])
         for name in ("arc.json", "arc.report.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_pool_forked_under_live_blas_threads_writes_the_serial_bytes(self, tmp_path):
-        # the acceptance spec, 40 x 1,000; with two usable CPUs the build
-        # forks its pool after OpenBLAS has started its second thread
-        steps = (
-            ("synth", "--n-classes", "4", "--samples-per-class", "250", "--seed", "7"),
-            ("build", "--features", "features.csv", "--labels", "labels.csv",
-             "--archive", "arc.json", "--k-max", "6", "--n-perturbations", "10"),
-        )
+        # three families of 160 samples: with two usable CPUs the build forks
+        # its pool for them, and at two threads OpenBLAS starts its second
+        # thread when numpy loads, so the pool forks under it
+        data = families(per_subfamily=80)
         for threads, workers in (("1", "1"), ("2", "2")):
             root = tmp_path / workers
             root.mkdir()
-            for args in steps:
-                if args[0] == "build":
-                    args += ("--workers", workers)
-                result = run(args, root, OPENBLAS_NUM_THREADS=threads)
-                assert result.returncode == 0, result.stderr
-        for name in ("features.csv", "labels.csv", "arc.json", "arc.report.json"):
+            save_csv(data, root / "features.csv", root / "labels.csv")
+            result = run(("build", "--features", "features.csv", "--labels", "labels.csv",
+                          "--archive", "arc.json", "--k-max", "6", "--n-perturbations", "10",
+                          "--workers", workers), root, OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+        for name in ("arc.json", "arc.report.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_runpy_as_main_writes_the_bytes_of_python_m(self, workspace, tmp_path,
@@ -684,3 +705,96 @@ class TestDeterminism:
                          "report.curve.csv"):
                 one, two = (tmp_path / data / t / name for t in ("1", "2"))
                 assert one.read_bytes() == two.read_bytes(), (data, name)
+
+
+def processes(field: int, value: int) -> list[int]:
+    """Pids of the live (not zombie) processes whose ``/proc/<pid>/stat``
+    field ``field``, counted from the state (0), is ``value``: 1 the parent,
+    3 the session."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if entry.name.isdigit() and fields[0] != "Z" and int(fields[field]) == value:
+            found.append(int(entry.name))
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+class TestInterruptedBuild:
+    """A build signalled mid-scan prints one line and leaves nothing behind."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kill")
+        save_csv(families(per_subfamily=80), root / "features.csv", root / "labels.csv")
+        return root
+
+    def start(self, inputs, root, workers):
+        """A build of ``inputs`` in ``root``, in a session of its own, once it
+        is in mid-scan: at ``--workers 2``, in the pool that builds the root's
+        three subtrees."""
+        for name in ("features.csv", "labels.csv"):
+            (root / name).write_bytes((inputs / name).read_bytes())
+        build = subprocess.Popen(
+            [sys.executable, "-m", "sigarchive.cli", "build", "--features", "features.csv",
+             "--labels", "labels.csv", "--archive", "arc.json", "--k-max", "6",
+             "--workers", str(workers)],
+            cwd=root, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        if workers == 1:
+            time.sleep(0.6)  # in the root's scan, of about 2 s
+        else:
+            while not processes(1, build.pid) and build.poll() is None:
+                time.sleep(0.01)
+            time.sleep(0.1)
+        return build
+
+    @pytest.mark.parametrize("workers,signum,group", [
+        (1, signal.SIGINT, False), (1, signal.SIGTERM, False), (2, signal.SIGINT, False),
+        (2, signal.SIGTERM, False), (2, signal.SIGINT, True), (2, signal.SIGTERM, True)],
+        ids=["1-INT", "1-TERM", "2-INT", "2-TERM", "2-INT-group", "2-TERM-group"])
+    def test_signal_mid_scan_ends_cleanly(self, inputs, tmp_path, workers, signum, group):
+        # a group signal reaches the workers as well, as a terminal's or a
+        # service manager's does
+        if workers > 1 and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the build forks no pool")
+        build = self.start(inputs, tmp_path, workers)
+        try:
+            (os.killpg if group else os.kill)(build.pid, signum)
+            out, err = build.communicate(timeout=60)
+        finally:
+            build.kill()
+        assert build.returncode == -signum, err
+        assert (out, err) == ("", "error: interrupted\n")
+        assert sorted(os.listdir(tmp_path)) == ["features.csv", "labels.csv"]
+        assert processes(3, build.pid) == []
+
+    def test_pool_workers_die_with_their_parent(self, inputs, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the build forks no pool")
+        build = self.start(inputs, tmp_path, 2)
+        assert len(processes(1, build.pid)) == 2
+        build.kill()  # SIGKILL: no cleanup runs in the parent
+        out, err = build.communicate(timeout=60)
+        deadline = time.monotonic() + 10
+        while processes(3, build.pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert processes(3, build.pid) == []
+        assert (out, err) == ("", "")
+
+    def test_a_killed_worker_fails_the_build(self, inputs, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the build forks no pool")
+        build = self.start(inputs, tmp_path, 2)
+        os.kill(processes(1, build.pid)[0], signal.SIGKILL)
+        try:
+            out, err = build.communicate(timeout=60)
+        finally:
+            build.kill()
+        assert build.returncode == 1
+        assert (out, err) == ("", "error: a build worker ended without its result\n")
+        assert sorted(os.listdir(tmp_path)) == ["features.csv", "labels.csv"]
+        assert processes(3, build.pid) == []

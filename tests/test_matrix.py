@@ -1,12 +1,17 @@
 """Numeric core: factorization, nonnegative least squares, error measures."""
 
+import hashlib
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import fm, nmf_every_sweep, nnls_exhaustive
+from conftest import cli_env, fm, nmf_every_sweep, nmf_one_member, nnls_exhaustive
 from sigarchive import (
     DegenerateInputError,
     FactorPair,
@@ -219,6 +224,105 @@ class TestNmfEvaluatedSweeps:
         assert (capped.stop, capped.sweeps, len(capped.objective_trace)) == ("capped", 7, 2)
         done = nmf_factorize(x, 2, 0, SolverOptions(tol=0.5))
         assert (done.stop, done.sweeps, len(done.objective_trace)) == ("converged", 10, 3)
+
+
+def perturbed_stack(n: int, m: int, members: int, seed: int) -> np.ndarray:
+    """``members`` copies of one random (n, m) matrix, each with its own 3% noise."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((n, m))
+    return np.stack([base * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, base.shape))
+                     for _ in range(members)])
+
+
+def assert_member_bits(pair, x, k, seed, opts=SolverOptions()):
+    """``pair`` has every bit of ``nmf_one_member(x, k, seed, opts)``."""
+    ref = nmf_one_member(fm(x), k, seed, opts)
+    assert pair.w.tobytes() == ref.w.tobytes() and pair.h.tobytes() == ref.h.tobytes()
+    assert pair.objective_trace == ref.trace
+    assert (pair.seed, pair.sweeps, pair.stop) == (seed, ref.sweeps, ref.stop)
+
+
+def stack_digest(pairs) -> str:
+    digest = hashlib.sha256()
+    for p in pairs:
+        digest.update(p.w.tobytes() + p.h.tobytes()
+                      + repr((p.objective_trace, p.sweeps, p.stop)).encode())
+    return digest.hexdigest()
+
+
+class TestNmfStack:
+    """``nmf_stack`` against ``nmf_one_member``, the 2-d loop in ``conftest``."""
+
+    @pytest.mark.parametrize("shape", [(75, 90), (75, 360), (40, 600)])
+    @pytest.mark.parametrize("members", [1, 2, 6, 30])
+    def test_each_member_has_the_bits_it_has_alone(self, shape, members):
+        xs, k, seeds = perturbed_stack(*shape, members, members), 2 + members % 3, range(members)
+        got = linalg.nmf_stack(xs, k, seeds)
+        for pair, x, seed in zip(got, xs, seeds):
+            assert_member_bits(pair, x, k, seed)
+        if members >= 6:  # members left the stack at different sweeps
+            assert len({pair.sweeps for pair in got}) > 1
+
+    def test_capped_and_converged_members_share_a_stack(self):
+        # alone, these members converge after 240 to 600 sweeps
+        xs, opts = perturbed_stack(75, 90, 6, 3), SolverOptions(max_iter=455)
+        got = linalg.nmf_stack(xs, 2, range(6), opts)
+        assert [pair.stop for pair in got].count("capped") == 2
+        for pair, x, seed in zip(got, xs, range(6)):
+            assert_member_bits(pair, x, 2, seed, opts)
+
+    def test_an_uphill_member_leaves_the_others_as_they_are(self, monkeypatch):
+        xs, opts = perturbed_stack(30, 40, 3, 7), SolverOptions(tol=1e-300, max_iter=50)
+        real, calls = linalg._frobenius, []
+
+        def spiked(x, w, h):
+            # evaluations: the start, then sweeps 9, 10 and 19; member 1 goes uphill
+            calls.append(None)
+            out = real(x, w, h)
+            if len(calls) == 4:
+                out[1] += 1.0
+            return out
+
+        monkeypatch.setattr(linalg, "_frobenius", spiked)
+        got = linalg.nmf_stack(xs, 3, (5, 6, 7), opts)
+        monkeypatch.undo()
+        want = nmf_one_member(fm(xs[1]), 3, 6, SolverOptions(tol=1e-300, max_iter=10))
+        assert (got[1].stop, got[1].sweeps) == ("uphill", 19)
+        assert got[1].w.tobytes() == want.w.tobytes() and got[1].h.tobytes() == want.h.tobytes()
+        assert got[1].objective_trace == want.trace
+        for i in (0, 2):
+            assert_member_bits(got[i], xs[i], 3, 5 + i, opts)
+
+    def test_a_failed_member_is_a_value(self):
+        xs = perturbed_stack(20, 30, 3, 4)
+        xs[1] = 0.0
+        got = linalg.nmf_stack(xs, 2, (0, 1, 2))
+        assert isinstance(got[1], DegenerateInputError)
+        for i in (0, 2):
+            assert_member_bits(got[i], xs[i], 2, i)
+        with pytest.raises(ValidationError):
+            linalg.nmf_stack(xs, 21, (0, 1, 2))
+
+    def test_two_blas_threads_give_the_bits_of_one_member_alone(self):
+        # 2,000 x 60 at rank 3: OpenBLAS splits these products across threads
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from test_matrix import assert_member_bits, perturbed_stack, stack_digest
+            from sigarchive import SolverOptions, linalg
+            xs, opts = perturbed_stack(2000, 60, 4, 9), SolverOptions(max_iter=40)
+            got = linalg.nmf_stack(xs, 3, range(4), opts)
+            for pair, x, seed in zip(got, xs, range(4)):
+                assert_member_bits(pair, x, 3, seed, opts)
+            print(stack_digest(got))
+            """)
+        result = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                                capture_output=True, text=True,
+                                env={**cli_env(), "OPENBLAS_NUM_THREADS": "2"})
+        assert result.returncode == 0, result.stderr
+        here = linalg.nmf_stack(perturbed_stack(2000, 60, 4, 9), 3, range(4),
+                                SolverOptions(max_iter=40))
+        assert result.stdout.split() == [stack_digest(here)]
 
 
 class TestFrobeniusNorm:

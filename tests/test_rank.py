@@ -293,14 +293,14 @@ class TestSelectRank:
                             stops.count("uphill"), 0))
 
     def test_failed_members_are_counted(self, monkeypatch):
-        real = rank_module.nmf_factorize
+        real = rank_module.perturb
 
-        def first_member_fails(x, k, seed, opts):
-            if seed == 0:
-                raise DegenerateInputError("member 0 fails")
-            return real(x, k, seed, opts)
+        def first_member_fails(x, epsilon, seed):
+            # the stacked kernel refuses an all-zero member
+            p = real(x, epsilon, seed)
+            return FeatureMatrix(np.zeros(p.values.shape), p.sample_ids) if seed == 0 else p
 
-        monkeypatch.setattr(rank_module, "nmf_factorize", first_member_fails)
+        monkeypatch.setattr(rank_module, "perturb", first_member_fails)
         x = fm(np.random.default_rng(6).random((6, 20)) + 0.05)
         report = select_rank(x, EnsembleConfig(k_min=1, k_max=2, **FAST))
         for stats in report.per_k:
@@ -356,12 +356,12 @@ class TestStopRule:
             assert got == ([3], 3, RULE_FORCED)
 
     def test_no_member_runs_above_the_stop(self, monkeypatch):
-        real, ranks = rank_module.nmf_factorize, []
+        real, ranks = rank_module.nmf_stack, []
 
-        def counted(x, k, seed, opts):
-            ranks.append(k)
-            return real(x, k, seed, opts)
+        def counted(xs, k, seeds, opts):
+            ranks.extend(k for _ in seeds)
+            return real(xs, k, seeds, opts)
 
-        monkeypatch.setattr(rank_module, "nmf_factorize", counted)
+        monkeypatch.setattr(rank_module, "nmf_stack", counted)
         self.scan(monkeypatch, {1: 1.0, 2: 0.9, 3: 0.2, 4: 0.9, 5: 0.9, 6: 0.9})
         assert ranks == [k for k in (1, 2, 3) for _ in range(3)]
