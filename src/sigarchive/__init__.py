@@ -24,7 +24,7 @@ _EXPORTS = {
                "SigArchiveError", "ValidationError"),
     "evaluation": ("EvalReport", "RiskCoveragePoint", "aurc", "classification_metrics",
                    "evaluate_predictions", "rejection_rates", "risk_coverage_curve"),
-    "inference": ("InferenceConfig", "Prediction", "Predictions", "classify", "classify_batch"),
+    "inference": ("InferenceConfig", "Predictions", "classify", "classify_batch"),
     "linalg": ("FactorPair", "FeatureMatrix", "SolverOptions", "nmf_factorize",
                "nnls_solve", "relative_error"),
     "rank": ("EnsembleConfig", "RankSelectionReport", "RankStats", "select_rank"),

@@ -52,7 +52,13 @@ REASON_DEGENERATE = "factorization-degenerate"
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Archive-construction settings."""
+    """Archive-construction settings.
+
+    ``seed`` seeds the build.  Each node's rank scan runs ``ensemble`` with
+    ``base_seed`` replaced by ``node_seed(seed, path)`` and with ``k_min``
+    and ``k_max`` clamped to what the node allows, so ``ensemble.base_seed``
+    changes only the archive's ``build_config`` snapshot.
+    """
 
     ensemble: EnsembleConfig
     purity_threshold: float = 1.0

@@ -114,8 +114,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     dataset, truth = dataio.generate_synthetic(spec)
-    dataio.save_csv(dataset, args.out_features, args.out_labels)
-    docio.write_document(truth.to_document(), args.out_truth)
+    _write_outputs(
+        (args.out_features, lambda path: dataio.save_features_csv(dataset.features, path)),
+        (args.out_labels, lambda path: dataio.save_labels_csv(dataset, path)),
+        (args.out_truth, lambda path: docio.write_document(truth.to_document(), path)))
     print(f"wrote {dataset.features.n_samples} samples x "
           f"{dataset.features.n_features} features across "
           f"{len(dataset.label_set)} classes "
@@ -168,7 +170,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     archive = _stage("load_archive")(args.archive)
     features = dataio.load_features_csv(args.features)
-    cfg = InferenceConfig(t=args.threshold, score_tolerance=args.score_tolerance)
+    cfg = InferenceConfig(t=args.threshold)
     snapshot = archive.build_config.get("normalization")
     try:
         if snapshot is not None:
@@ -323,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output predictions CSV")
     p.add_argument("--threshold", type=float, default=1.0,
                    help="minimum reconstruction score to classify")
-    p.add_argument("--score-tolerance", type=_nonneg_float, default=1e-9)
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

@@ -160,11 +160,13 @@ def save_features_csv(features: FeatureMatrix, path) -> None:
     write_rows(path, rows)
 
 
+def save_labels_csv(dataset: LabeledDataset, path) -> None:
+    write_rows(path, [_LABEL_HEADER, *zip(dataset.features.sample_ids, dataset.labels)])
+
+
 def save_csv(dataset: LabeledDataset, features_path, labels_path) -> None:
     save_features_csv(dataset.features, features_path)
-    rows = [list(_LABEL_HEADER)]
-    rows += [[sid, lbl] for sid, lbl in zip(dataset.features.sample_ids, dataset.labels)]
-    write_rows(labels_path, rows)
+    save_labels_csv(dataset, labels_path)
 
 
 @dataclass(frozen=True)

@@ -99,15 +99,17 @@ def loads_document(text: str):
 
 def write_atomic(path, text: str) -> None:
     """Write ``text`` as UTF-8 to a temporary file beside ``path``, then move
-    it into place, so a killed run never leaves a truncated file at ``path``."""
+    it into place, so a killed run never leaves a truncated file at ``path``.
+    An ``OSError`` names ``path``, not the temporary file."""
     p = Path(path)
     tmp = p.parent / f".{p.name}.{os.getpid()}.tmp"
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, p)
-    except BaseException:
+    except OSError as exc:  # one that names a file names the destination
+        raise OSError(exc.errno, exc.strerror, str(p)) if exc.filename else exc
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
 
 
 @contextmanager

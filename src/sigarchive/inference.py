@@ -13,75 +13,42 @@ alone as in any batch, whatever the BLAS thread count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, compress
 
 import numpy as np
 
 from .archive import SignatureArchive
-from .docio import DECISION_CLASSIFIED, DECISION_REJECTED
 from .errors import SigArchiveError, ValidationError
-from .linalg import (NNLS_STEP_LIMIT, FeatureMatrix, _combine, _fields_equal,
-                     _fields_reduce, _nnls_rows, _readonly_array, _rowdot)
+from .linalg import (NNLS_STEP_LIMIT, FeatureMatrix, _combine, _fields_equal, _nnls_rows,
+                     _rowdot)
 from .linalg import nnls_solve  # noqa: F401  bench/spans.py traces inference.nnls_solve
 
 _BLOCK = 1024   # samples per kernel call in classify_batch: bounds memory, moves no bit
+_SCORE_TOLERANCE = 1e-9   # numeric slack below the threshold t
 _ZERO_SAMPLE = "cannot score an all-zero sample"
+_ROW_ERRORS = {_ZERO_SAMPLE: ValidationError, NNLS_STEP_LIMIT: SigArchiveError}
 
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Decision threshold ``t`` and the numeric slack applied below it."""
+    """Decision threshold ``t``: a sample is classified iff its score is at
+    least ``t`` less the numeric slack ``_SCORE_TOLERANCE``."""
 
     t: float = 1.0
-    score_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not (0.0 <= self.t <= 1.0):
             raise ValidationError("threshold t must lie in [0, 1]")
-        if not (self.score_tolerance >= 0 and math.isfinite(self.score_tolerance)):
-            raise ValidationError("score_tolerance must be finite and >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    """Outcome of classifying one sample.
-
-    ``label`` is present exactly when ``decision`` is ``classified``;
-    ``attribution`` always names the archive path of the signature with the
-    largest projection coefficient (earliest entry on ties).
-    """
-
-    sample_id: str
-    decision: str
-    label: str | None
-    score: float
-    attribution: str
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        if self.decision not in (DECISION_CLASSIFIED, DECISION_REJECTED):
-            raise ValidationError(f"unknown decision {self.decision!r}")
-        if (self.label is not None) != (self.decision == DECISION_CLASSIFIED):
-            raise ValidationError("label must be present iff the sample was classified")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score {self.score!r} outside [0, 1]")
-        coeff = _readonly_array(self.coefficients)
-        if coeff.ndim != 1 or (coeff < 0).any():
-            raise ValidationError("coefficients must form a nonnegative vector")
-        object.__setattr__(self, "coefficients", coeff)
-        object.__setattr__(self, "score", float(self.score))
-
-    __eq__ = _fields_equal
-    __reduce__ = _fields_reduce
 
 
 @dataclass(frozen=True, eq=False)
 class Predictions:
-    """A batch's outcome as columns, one row per sample that scored.  Row ``i``
-    is what :func:`classify` returns for ``sample_ids[i]``, with the same
-    bits; ``attributed[i]`` indexes ``archive.entries``."""
+    """A batch's outcome as columns, one row per sample that scored.  Row
+    ``i``'s bits depend on ``sample_ids[i]``'s column alone, so they are
+    :func:`classify`'s one row for it; ``attributed[i]`` indexes
+    ``archive.entries``, the entry with the largest coefficient (earliest on
+    ties), whose label the sample gets where ``classified[i]``."""
 
     sample_ids: tuple[str, ...]
     scores: np.ndarray
@@ -101,18 +68,6 @@ class BatchFailure:
     message: str
 
 
-def _check_sample(sample, n: int) -> np.ndarray:
-    vec = np.array(sample, dtype=np.float64)
-    if vec.shape != (n,):
-        raise ValidationError(
-            f"sample has shape {vec.shape}, archive expects ({n},)")
-    if not np.isfinite(vec).all():
-        raise ValidationError("sample contains non-finite entries")
-    if (vec < 0).any():
-        raise ValidationError("sample contains negative entries")
-    return vec
-
-
 def _cosines(s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Cosine of each row of ``s`` with the same row of ``r``, clipped to
     [0, 1]: 0 where ``r`` is zero, NaN where ``s`` is zero.  Every row's
@@ -125,42 +80,35 @@ def _cosines(s: np.ndarray, r: np.ndarray) -> np.ndarray:
     return value
 
 
-def classify(
-    sample,
-    archive: SignatureArchive,
-    cfg: InferenceConfig = InferenceConfig(),
-    *,
-    sample_id: str = "",
-) -> Prediction:
-    """Score one sample and apply the reject-option decision rule.
+def classify(sample, archive: SignatureArchive, cfg: InferenceConfig = InferenceConfig(), *,
+             sample_id: str = "") -> Predictions:
+    """Score one sample, a vector of the archive's feature count, as the
+    batch of one: :func:`classify_batch`'s one-row :class:`Predictions`.
 
-    The sample is classified iff ``score >= cfg.t - cfg.score_tolerance``;
-    its label is the label of the attributed signature.  Decisions are
-    invariant under positive rescaling of the sample.
+    Decisions are invariant under positive rescaling of the sample.  Raises
+    the row's own error: ``ValidationError`` for an all-zero sample,
+    ``SigArchiveError`` for a solve past the step limit.
     """
-    columns, errors = _classify_rows((sample_id,), _check_sample(sample, archive.n_features)[None],
-                                     archive, cfg)
-    if errors:
-        raise errors[0][1]
-    _, (score,), (attributed,), (accept,), (coefficients,) = columns
-    entry = archive.entries[attributed]
-    return Prediction(sample_id, DECISION_CLASSIFIED if accept else DECISION_REJECTED,
-                      entry.label if accept else None, score, entry.path, coefficients)
+    samples = FeatureMatrix(np.expand_dims(sample, -1), (sample_id,))
+    predictions, failures = classify_batch(samples, archive, cfg)
+    if failures:
+        raise _ROW_ERRORS[failures[0].message](failures[0].message)
+    return predictions
 
 
 def _classify_rows(sample_ids, rows: np.ndarray, archive: SignatureArchive, cfg: InferenceConfig):
     """:class:`Predictions`' columns, as a tuple, for the rows of the (m, n)
-    ``rows`` that score, and ``(row, error)`` for each row that fails: an
+    ``rows`` that score, and ``(row, message)`` for each row that fails: an
     all-zero sample, or a solve past the step limit."""
     basis = archive.signature_matrix()
     x, stopped = _nnls_rows(basis, rows)
     scores = _cosines(rows, _combine(x, basis))
     ok = stopped & ~np.isnan(scores)
-    errors = [(i, ValidationError(_ZERO_SAMPLE) if stopped[i] else
-               SigArchiveError(NNLS_STEP_LIMIT)) for i in np.flatnonzero(~ok).tolist()]
+    errors = [(i, _ZERO_SAMPLE if stopped[i] else NNLS_STEP_LIMIT)
+              for i in np.flatnonzero(~ok).tolist()]
     x, scores = x[ok], scores[ok]
     return (tuple(compress(sample_ids, ok.tolist())), scores, np.argmax(x, axis=1),
-            scores >= cfg.t - cfg.score_tolerance, x), errors
+            scores >= cfg.t - _SCORE_TOLERANCE, x), errors
 
 
 def classify_batch(
@@ -168,13 +116,12 @@ def classify_batch(
     archive: SignatureArchive,
     cfg: InferenceConfig = InferenceConfig(),
 ) -> tuple[Predictions, list[BatchFailure]]:
-    """Classify every column of ``samples`` in order, as :func:`classify`
-    would, one column at a time, with the same bits.
+    """Classify every column of ``samples`` in order, into one :class:`Predictions`.
 
-    The samples go ``_BLOCK`` at a time through the decision path that
-    :func:`classify` runs on one, into one :class:`Predictions`.  Per-sample
-    errors (an all-zero sample, a solve past the step limit) are collected
-    as :class:`BatchFailure` records instead of aborting the batch.
+    The samples go ``_BLOCK`` at a time through one decision path, and each
+    row's bits depend on its own column alone.  Per-sample errors (an
+    all-zero sample, a solve past the step limit) are collected as
+    :class:`BatchFailure` records instead of aborting the batch.
 
     Raises ``ValidationError`` unless ``samples`` has the archive's feature
     count and, where it names its features, the archive's names in order.
@@ -192,6 +139,6 @@ def classify_batch(
         columns, errors = _classify_rows(ids, samples.values[:, start:start + _BLOCK].T,
                                          archive, cfg)
         blocks.append(columns)
-        failures += [BatchFailure(start + i, ids[i], str(exc)) for i, exc in errors]
+        failures += [BatchFailure(start + i, ids[i], message) for i, message in errors]
     sample_ids, *arrays = zip(*blocks)
     return Predictions(tuple(chain(*sample_ids)), *map(np.concatenate, arrays)), failures

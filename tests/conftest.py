@@ -93,15 +93,12 @@ def toy_archive(signatures, labels) -> SignatureArchive:
     return SignatureArchive(entries, names, {"toy": True})
 
 
-def stack_predictions(predictions, archive) -> Predictions:
-    """The columns that a list of ``Prediction`` objects stack into, in order."""
-    paths = [e.path for e in archive.entries]
-    return Predictions(
-        tuple(p.sample_id for p in predictions),
-        np.array([p.score for p in predictions], dtype=np.float64),
-        np.array([paths.index(p.attribution) for p in predictions], dtype=np.intp),
-        np.array([p.decision == docio.DECISION_CLASSIFIED for p in predictions], dtype=bool),
-        np.array([p.coefficients for p in predictions]).reshape(len(predictions), len(paths)))
+def stack_predictions(predictions) -> Predictions:
+    """One-row ``Predictions`` (what ``classify`` returns) stacked in order,
+    column by column."""
+    return Predictions(tuple(sid for p in predictions for sid in p.sample_ids),
+                       *(np.concatenate([getattr(p, name) for p in predictions])
+                         for name in ("scores", "attributed", "classified", "coefficients")))
 
 
 def take_rows(predictions: Predictions, rows) -> Predictions:

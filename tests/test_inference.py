@@ -7,13 +7,13 @@ import pytest
 
 from conftest import assert_same_bits, fm, take_rows, toy_archive
 from sigarchive import (
-    DECISION_CLASSIFIED,
-    DECISION_REJECTED,
     FeatureMatrix,
     InferenceConfig,
+    SigArchiveError,
     ValidationError,
     classify,
     classify_batch,
+    inference,
 )
 from sigarchive.dataio import SynthSpec, generate_synthetic, split_holdout
 from sigarchive.inference import BatchFailure, _cosines
@@ -29,17 +29,12 @@ def axis_archive():
 
 class TestInferenceConfig:
     def test_defaults(self):
-        cfg = InferenceConfig()
-        assert cfg.t == 1.0 and cfg.score_tolerance == 1e-9
+        assert InferenceConfig().t == 1.0 and inference._SCORE_TOLERANCE == 1e-9
 
     @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
     def test_threshold_range(self, t):
         with pytest.raises(ValidationError):
             InferenceConfig(t=t)
-
-    def test_tolerance_must_be_nonnegative(self):
-        with pytest.raises(ValidationError):
-            InferenceConfig(score_tolerance=-1e-9)
 
 
 def project(sample, archive):
@@ -99,35 +94,36 @@ class TestScore:
 class TestClassify:
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
     def test_exact_signature_passes_strict_threshold(self, axis_archive, scale):
-        pred = classify(scale * AXES[:, 1], axis_archive, InferenceConfig(t=1.0))
-        assert pred.decision == DECISION_CLASSIFIED
-        assert pred.label == "beta"
-        assert pred.score >= 1.0 - 1e-9
-        assert pred.attribution == axis_archive.entries[1].path
+        p = classify(scale * AXES[:, 1], axis_archive, InferenceConfig(t=1.0))
+        assert p.classified[0]
+        assert axis_archive.entries[p.attributed[0]].label == "beta"
+        assert p.scores[0] >= 1.0 - 1e-9
+        assert axis_archive.entries[p.attributed[0]].path == axis_archive.entries[1].path
 
     def test_orthogonal_sample_rejected(self, axis_archive):
-        pred = classify(np.array([0.0, 0.0, 0.0, 1.0]), axis_archive)
-        assert pred.decision == DECISION_REJECTED
-        assert pred.label is None and pred.score == 0.0
+        p = classify(np.array([0.0, 0.0, 0.0, 1.0]), axis_archive)
+        assert not p.classified[0] and p.scores[0] == 0.0
         # argmax over all-zero coefficients falls back to the first entry
-        assert pred.attribution == axis_archive.entries[0].path
+        assert axis_archive.entries[p.attributed[0]].path == axis_archive.entries[0].path
 
     def test_known_mixture_straddles_thresholds(self, axis_archive):
         # [1,0,0,1] reconstructs as [1,0,0,0]: score is exactly 1/sqrt(2)
         sample = np.array([1.0, 0.0, 0.0, 1.0])
         low = classify(sample, axis_archive, InferenceConfig(t=0.7))
         high = classify(sample, axis_archive, InferenceConfig(t=0.8))
-        assert low.decision == DECISION_CLASSIFIED and low.label == "alpha"
-        assert high.decision == DECISION_REJECTED
-        assert low.score == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert low.classified[0] and axis_archive.entries[low.attributed[0]].label == "alpha"
+        assert not high.classified[0]
+        assert low.scores[0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_power_of_two_rescaling_is_bitwise_invariant(self, axis_archive):
         v = 1.5 * AXES[:, 0] + 0.5 * AXES[:, 1] + 0.05 * np.array([0, 0, 0, 1.0])
         base = classify(v, axis_archive, InferenceConfig(t=0.9), sample_id="x")
+        assert base.sample_ids == ("x",) and base.coefficients.shape == (1, 3)
         for s in (2.0 ** 40, 2.0 ** -40, 8.0):
             scaled = classify(s * v, axis_archive, InferenceConfig(t=0.9), sample_id="x")
-            assert scaled.score == base.score
-            assert scaled.decision == base.decision and scaled.label == base.label
+            assert scaled.scores[0] == base.scores[0]
+            assert scaled.classified[0] == base.classified[0]
+            assert scaled.attributed[0] == base.attributed[0]
             assert np.array_equal(scaled.coefficients, base.coefficients * s)
 
     def test_raising_threshold_only_removes_classifications(self, axis_archive):
@@ -136,7 +132,7 @@ class TestClassify:
         for t in np.linspace(0.0, 1.0, 21):
             cfg = InferenceConfig(t=float(t))
             kept = {i for i, s in enumerate(samples)
-                    if classify(s, axis_archive, cfg).decision == DECISION_CLASSIFIED}
+                    if classify(s, axis_archive, cfg).classified[0]}
             if previous is not None:
                 assert kept <= previous
             previous = kept
@@ -150,11 +146,23 @@ class TestClassify:
         with pytest.raises(ValidationError, match="all-zero sample"):
             classify(np.zeros(4), axis_archive)
 
+    def test_step_limit_raises_a_runtime_error(self, axis_archive, monkeypatch):
+        solve = inference._nnls_rows
+
+        def stalls(a, b):
+            x, stopped = solve(a, b)
+            return x, np.zeros_like(stopped)
+
+        monkeypatch.setattr(inference, "_nnls_rows", stalls)
+        with pytest.raises(SigArchiveError, match="step limit") as info:
+            classify(AXES[:, 0], axis_archive)
+        assert type(info.value) is SigArchiveError
+
     def test_score_within_unit_interval(self, axis_archive):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            pred = classify(rng.random(4) + 1e-3, axis_archive)
-            assert 0.0 <= pred.score <= 1.0
+            p = classify(rng.random(4) + 1e-3, axis_archive)
+            assert 0.0 <= p.scores[0] <= 1.0
 
 
 @pytest.fixture(scope="module")

@@ -355,6 +355,14 @@ def test_failed_replace_leaves_previous_file_intact(tmp_path, monkeypatch, write
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_failed_write_names_the_destination(tmp_path):
+    path = tmp_path / "nodir" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_rows(path, [["new", "1"]])
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _format_float_by_generator(value):
     """``docio.format_float`` as it was, testing each of ".eE" in turn."""
     text = format(float(value), ".17g")

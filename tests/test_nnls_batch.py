@@ -225,7 +225,7 @@ def assert_equals_classify_per_column(samples, archive, cfg):
         except SigArchiveError as exc:
             want_failures.append(BatchFailure(j, sid, str(exc)))
     # the stacked single-sample results are the batch's columns, bit for bit
-    assert_same_bits(preds, stack_predictions(want, archive))
+    assert_same_bits(preds, stack_predictions(want))
     assert failures == want_failures
     return failures
 

@@ -13,7 +13,6 @@ from sigarchive import (
     FeatureMatrix,
     GroundTruth,
     LabeledDataset,
-    Prediction,
     Predictions,
     SignatureArchive,
     UnresolvedGroup,
@@ -37,15 +36,13 @@ ENTRY = ArchiveEntry(unit(1.0, 2.0, 2.0), "a", 1.0, 10, "root/k2/c0", 0)
 OTHER_ENTRY = ArchiveEntry(unit(2.0, 1.0, 2.0), "b", 0.9, 12, "root/k2/c1", 0)
 ARCHIVE = SignatureArchive((ENTRY, OTHER_ENTRY), ("f0", "f1", "f2"), {"seed": 0},
                            (UnresolvedGroup("root", ("s9",), "reason"),))
-PREDICTION = Prediction("s0", "classified", "a", 0.9, "root/k2/c0", np.array([0.5, 0.0]))
 PREDICTIONS = Predictions(("s0", "s1"), np.array([0.9, 0.4]), np.array([0, 1]),
                           np.array([True, False]), np.array([[0.5, 0.0], [0.1, 0.2]]))
 DATASET = LabeledDataset(MATRIX, ("a", "b"))
 PAIR = FactorPair(np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 2.0]]), (3.0, 1.0), 0, 4)
 TRUTH = GroundTruth(np.eye(3)[:, :2], np.array([[1.0, 0.0], [0.0, 2.0]]), ("a", "b"), None)
 
-# Per value type: one instance, and changes that each alter one compared field
-# (a decision cannot change without its label).
+# Per value type: one instance, and changes that each alter one compared field.
 CASES = [
     (MATRIX, [{"values": bumped(MATRIX.values)}, {"sample_ids": ("s0", "s2")},
               {"feature_names": ("f0", "f1", "g2")}]),
@@ -54,9 +51,6 @@ CASES = [
     (ARCHIVE, [{"entries": (replace(ENTRY, label="b"), OTHER_ENTRY)},
                {"feature_names": ("f0", "f1", "g2")}, {"build_config": {"seed": 1}},
                {"unresolved": ()}]),
-    (PREDICTION, [{"sample_id": "s1"}, {"decision": "rejected", "label": None},
-                  {"label": "b"}, {"score": 0.8}, {"attribution": "root/k2/c1"},
-                  {"coefficients": bumped(PREDICTION.coefficients)}]),
     (PREDICTIONS, [{"sample_ids": ("s0", "s2")}, {"scores": bumped(PREDICTIONS.scores)},
                    {"attributed": np.array([1, 1])}, {"classified": np.array([True, True])},
                    {"coefficients": bumped(PREDICTIONS.coefficients)}]),
