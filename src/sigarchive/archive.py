@@ -25,6 +25,7 @@ from .errors import (
     SigArchiveError,
     ValidationError,
 )
+from .forks import fork_map
 from .linalg import (FactorPair, FeatureMatrix, _fields_equal, _fields_reduce,
                      _readonly_array, nmf_factorize, unit_columns)
 from .seeding import node_seed
@@ -277,78 +278,6 @@ def _dominant_rows(h: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _fork_subtrees(visit, jobs: list, processes: int) -> list:
-    """``[visit(*job) for job in jobs]`` in ``processes`` forked workers.
-
-    Worker ``i`` visits jobs ``i``, ``i + processes``, ... and sends its
-    results, or its exception, back through a pipe of its own.  Sharing no
-    queue or lock, a worker killed mid-job fails the build instead of
-    stalling it.  Kills stay blocked until the workers exist to be stopped,
-    and the workers are killed and reaped however this ends.
-    """
-    import pickle
-    import signal
-
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
-    pids, pipes = [], []
-    try:
-        for i in range(processes):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _subtree_worker(visit, jobs[i::processes], read, write, mask)  # never returns
-            pids.append(pid)
-            os.close(write)
-            pipes.append(open(read, "rb"))
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results = []
-        for pipe in pipes:
-            try:
-                ok, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise SigArchiveError("a build worker ended without its result") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return [results[i % processes][i // processes] for i in range(len(jobs))]
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _subtree_worker(visit, jobs: list, read: int, write: int, mask) -> None:
-    """A worker of :func:`_fork_subtrees`.  It ignores SIGINT (an interrupt
-    stops the parent, which stops the workers), dies by SIGTERM, and gets one
-    from Linux if the parent dies.  It writes ``(True, results)`` or
-    ``(False, exception)`` to ``write``, and exits."""
-    code = 1
-    try:
-        import ctypes
-        import pickle
-        import signal
-
-        os.close(read)
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
-            payload = True, [visit(*job) for job in jobs]
-        except Exception as exc:
-            payload = False, exc
-        with open(write, "wb") as pipe:
-            pickle.dump(payload, pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def build_archive(
     x: FeatureMatrix,
     labels: Sequence[str],
@@ -360,7 +289,7 @@ def build_archive(
 
     ``workers`` above 1 forks ``min(workers, usable CPUs, those clusters)``
     workers at the first node with two or more mixed clusters to recurse
-    into; each builds whole subtrees, one at a time (:func:`_fork_subtrees`).
+    into; each builds whole subtrees, one at a time (:func:`forks.fork_map`).
     They are stopped however the build ends, and no output depends on them.
     A build whose nodes recurse into one cluster at most runs in one process.
 
@@ -455,7 +384,8 @@ def build_archive(
                                                    tuple(cluster_reports))]
         n = min(workers, len(os.sched_getaffinity(0)), len(jobs)) if may_fork else 1
         # a worker's subtrees fork no workers of their own
-        children = (_fork_subtrees(visit, [(*job, False) for job in jobs], n) if n > 1
+        children = (fork_map(visit, [(*job, False) for job in jobs], n,
+                             "a build worker ended without its result") if n > 1
                     else [visit(*job, may_fork) for job in jobs])
         for child in children:
             for mine, theirs in zip(subtree, child):

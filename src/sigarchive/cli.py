@@ -78,13 +78,13 @@ def _second_path(flag: str, first, second_flag: str, second, suffix: str):
 
 
 def _write_outputs(*writes) -> None:
-    """Run each ``(path, write)`` in turn; if one fails, unlink every path tried."""
+    """Run each ``(path, write)`` in turn; if one fails, unlink those written before it."""
     for i, (path, write) in enumerate(writes):
         try:
             write(path)
         except BaseException:
-            for tried, _ in writes[:i + 1]:
-                Path(tried).unlink(missing_ok=True)
+            for written, _ in writes[:i]:
+                Path(written).unlink(missing_ok=True)
             raise
 
 

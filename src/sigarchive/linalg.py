@@ -29,7 +29,10 @@ STOP_REASONS = (STOP_CONVERGED, STOP_CAPPED, STOP_UPHILL)
 
 
 def _readonly_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True)
+    except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
+        raise ValidationError(f"values are not a numeric array: {exc}") from None
     arr.setflags(write=False)
     return arr
 

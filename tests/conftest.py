@@ -44,6 +44,21 @@ def has_children() -> bool:
     return True
 
 
+def processes(field: int, value: int) -> list[int]:
+    """Pids of the live (not zombie) processes whose ``/proc/<pid>/stat``
+    field ``field``, counted from the state (0), is ``value``: 1 the parent,
+    3 the session."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if entry.name.isdigit() and fields[0] != "Z" and int(fields[field]) == value:
+            found.append(int(entry.name))
+    return found
+
+
 def fm(values, prefix="s") -> FeatureMatrix:
     """FeatureMatrix with generated sample ids for an array-like."""
     arr = np.asarray(values, dtype=np.float64)

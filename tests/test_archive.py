@@ -297,11 +297,11 @@ class TestBuildWorkers:
         # A stand-in that visits the jobs in-process, so no process is started
         made = []
 
-        def fork_subtrees(visit, jobs, processes):
+        def fork_map(visit, jobs, processes, lost):
             made.append(processes)
             return [visit(*job) for job in jobs]
 
-        monkeypatch.setattr(archive_module, "_fork_subtrees", fork_subtrees)
+        monkeypatch.setattr(archive_module, "fork_map", fork_map)
         serial = self.build(1)
         assert [c.outcome for c in serial[1].nodes[0].clusters] == ["recursed"] * 3
         # the root's three subtrees are the only jobs, and no worker forks again

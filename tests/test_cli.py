@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cli_env, families, has_children
+from conftest import cli_env, families, has_children, processes
 
-from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, load_csv, rank,
-                        save_archive, save_csv)
+from sigarchive import (BuildConfig, EnsembleConfig, build_archive, cli, docio, load_csv,
+                        rank, save_archive, save_csv)
 from sigarchive.archive import ROOT_PATH
 from sigarchive.seeding import node_seed
 
@@ -103,6 +103,27 @@ class TestSynth:
         assert result.returncode == 1
         assert result.stderr == "error: [Errno 2] No such file or directory: 'nodir/truth.json'\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_truth_path_on_a_directory_raises_the_writes_own_error(self, tmp_path,
+                                                                  monkeypatch):
+        # the cleanup leaves the failed path alone, so its error is not replaced
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        raised, write = [], docio.write_document
+
+        def recording(value, path):
+            try:
+                write(value, path)
+            except OSError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(docio, "write_document", recording)
+        args = cli.build_parser().parse_args([*SYNTH_ARGS, "--out-truth", "d"])
+        with pytest.raises(IsADirectoryError) as info:
+            args.handler(args)
+        assert [info.value] == raised
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
 
 
 class TestBuild:
@@ -512,6 +533,27 @@ class TestEvaluate:
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.csv"]
 
+    def test_failed_curve_replace_keeps_the_file_already_there(self, tmp_path,
+                                                               monkeypatch, capsys):
+        self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
+        (tmp_path / "keep.curve.csv").write_text("earlier run\n")
+        replace = os.replace
+
+        def failing(src, dst):
+            if str(dst).endswith("keep.curve.csv"):
+                raise OSError(28, "No space left on device", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["evaluate", "--predictions", "p.csv", "--truth", "t.csv",
+                         "--report", "rep.json", "--curve", "keep.curve.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device: 'keep.curve.csv'\n")
+        assert (tmp_path / "keep.curve.csv").read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.curve.csv", "p.csv",
+                                                              "t.csv"]
+
     def test_report_curve_cells_are_the_curve_tables_text(self, tmp_path):
         self.write_pair(tmp_path, "sample_id,label,novel\na,x,0\nb,y,0\nc,z,1\n")
         preds = tmp_path / "p.csv"
@@ -709,21 +751,6 @@ class TestDeterminism:
                          "report.curve.csv"):
                 one, two = (tmp_path / data / t / name for t in ("1", "2"))
                 assert one.read_bytes() == two.read_bytes(), (data, name)
-
-
-def processes(field: int, value: int) -> list[int]:
-    """Pids of the live (not zombie) processes whose ``/proc/<pid>/stat``
-    field ``field``, counted from the state (0), is ``value``: 1 the parent,
-    3 the session."""
-    found = []
-    for entry in Path("/proc").iterdir():
-        try:
-            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
-        except (OSError, IndexError):
-            continue
-        if entry.name.isdigit() and fields[0] != "Z" and int(fields[field]) == value:
-            found.append(int(entry.name))
-    return found
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")

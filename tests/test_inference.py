@@ -73,6 +73,15 @@ class TestProject:
         with pytest.raises(ValidationError):
             classify(np.array([1.0, math.inf, 0.0, 0.0]), axis_archive)
 
+    def test_non_numeric_sample_is_a_validation_error(self, axis_archive):
+        with pytest.raises(ValidationError, match="not a numeric array"):
+            classify("ab", axis_archive)
+
+
+def test_ragged_feature_matrix_is_a_validation_error():
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        FeatureMatrix([[1.0, 2.0], [3.0]], ["a", "b"])
+
 
 class TestScore:
     """The confidence score: the row-wise cosine of a sample with its

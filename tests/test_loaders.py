@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dumps_document_recursive, toy_archive
+from conftest import cli_env, dumps_document_recursive, has_children, processes, toy_archive
 from sigarchive import ArchiveFormatError, ValidationError, load_archive, save_archive
-from sigarchive import dataio, docio
+from sigarchive import cli, dataio, docio
 from sigarchive.dataio import (
     MODE_PER_FEATURE_MAX,
     NormalizationParams,
@@ -272,6 +277,187 @@ def test_plain_pass_keeps_the_csv_field_limit(tmp_path, width):
         assert (dataio._plain_features(path) is None) == (width > 8)
     finally:
         csv.field_size_limit(old)
+
+
+def _split_reads(monkeypatch, cpus: int, range_bytes: int = 1) -> list[int]:
+    """Give ``cpus`` usable CPUs and a byte range of ``range_bytes`` (so by
+    default every plain body of ``cpus`` bytes or more is cut ``cpus`` times),
+    and return the list that collects the pid of each reader forked from now on."""
+    monkeypatch.setattr(dataio, "_RANGE_BYTES", range_bytes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forked
+
+
+def _cuts(data: bytes, ranges: int) -> tuple[list[str], int]:
+    """Where each of the ``ranges - 1`` nominal cuts of the body of ``data``
+    falls in its line (``first``, ``last`` or ``mid`` byte), and how many
+    nonempty ranges the first line starts at or after the cuts bound."""
+    start = data.index(b"\n") + 1
+    starts = [start] + [i + 1 for i in range(start, len(data) - 1) if data[i] == 10]
+    places, cuts = [], {start}
+    for i in range(1, ranges):
+        p = start + i * (len(data) - start) // ranges
+        places.append("first" if p in starts else "last" if data[p] == 10 else "mid")
+        cuts.add(min([s for s in starts if s >= p], default=len(data)))
+    return places, len(cuts - {len(data)})
+
+
+_RNG = np.random.default_rng(4)
+_SPLIT_TABLES = [
+    # cells of 1 to 17 significant digits, so lines differ in length
+    [[format(v, f".{d}g") for v, d in zip(row, digits)] for row, digits in
+     zip(_RNG.uniform(0.0, 1.0, (12, 2)).tolist(), _RNG.integers(1, 18, (12, 2)).tolist())],
+    # a line longer than any range but the whole body's
+    [["1.5", "2"], ["0" * 200 + "1.5", "3"], ["4", "5e-3"], ["6", "7"]],
+]
+
+
+def test_split_read_gives_the_in_process_bits(tmp_path, monkeypatch):
+    path, places = tmp_path / "features.csv", set()
+    for cells in _SPLIT_TABLES:
+        _write_table(path, cells)
+        whole = _outcome(load_features_csv, path)
+        for ranges in range(1, 6):
+            with monkeypatch.context() as patch:
+                forked = _split_reads(patch, ranges)
+                split = _outcome(load_features_csv, path)
+            where, readers = _cuts(path.read_bytes(), ranges)
+            places.update(where)
+            assert split == whole, ranges
+            assert len(forked) == (readers if readers > 1 else 0), ranges
+    # every place a cut can fall in a line was met, and a range with no line start
+    assert places == {"first", "last", "mid"}
+    assert _cuts(path.read_bytes(), 5)[1] < 5
+
+
+@pytest.mark.parametrize("fault", ["x", "", "\r", "\r\n"])
+@pytest.mark.parametrize("row", range(1, 13))
+def test_a_fault_past_the_first_range_gets_the_csv_reader_paths_outcome(
+        tmp_path, monkeypatch, fault, row):
+    # "x" is a bad cell and "" an empty line; a CR ends its line
+    lines = ["feature,s0,s1"] + [f"f{i},{i}.5,2" for i in range(12)]
+    if fault in ("x", ""):
+        lines[row] = f"f{row - 1},x,2" if fault else ""
+        text = "\n".join(lines) + "\n"
+    else:
+        text = "".join(line + (fault if i == row else "\n") for i, line in enumerate(lines))
+    path = tmp_path / "features.csv"
+    path.write_text(text, newline="")
+    expected = _outcome(_csv_reader_path, path)
+    forked = _split_reads(monkeypatch, 3)
+    assert _outcome(load_features_csv, path) == expected
+    assert len(forked) == 3
+
+
+def test_table_below_two_ranges_forks_nothing(tmp_path, monkeypatch):
+    forked = _split_reads(monkeypatch, 4, dataio._RANGE_BYTES)
+    m = 1000
+    header = "feature," + ",".join(f"s{j}" for j in range(m)) + "\n"
+    path = tmp_path / "features.csv"
+    for body, forks in ((2 * dataio._RANGE_BYTES - 1, 0), (2 * dataio._RANGE_BYTES, 2)):
+        # lines of 0.5s, the last one's last cell led by zeros to fill the body
+        lines = [f"f{i:04d}," + ",".join(["0.5"] * m) + "\n" for i in range(1000)]
+        n, rest = divmod(body, len(lines[0]))
+        lines = lines[:n]
+        lines[-1] = lines[-1][:-4] + "0" * rest + "0.5\n"
+        path.write_text(header + "".join(lines))
+        assert path.stat().st_size - len(header) == body
+        forked.clear()
+        assert load_features_csv(path).values.sum() == 0.5 * n * m
+        assert len(forked) == forks, body
+
+
+@pytest.fixture
+def classify_inputs(tmp_path):
+    """An archive of three features and a plain table of 40 samples to classify."""
+    save_archive(toy_archive(np.eye(3)[:, :2], ["A", "B"]), tmp_path / "arc.json")
+    values = np.random.default_rng(2).uniform(0.1, 1.0, (3, 40))
+    _write_table(tmp_path / "features.csv", [[repr(v) for v in row] for row in values.tolist()])
+    return tmp_path
+
+
+CLASSIFY = ["classify", "--archive", "arc.json", "--features", "features.csv",
+            "--output", "predictions.csv"]
+
+
+def test_a_killed_reader_fails_classify_with_one_line(classify_inputs, monkeypatch, capsys):
+    forked = _split_reads(monkeypatch, 2)
+    parent, read = os.getpid(), dataio._plain_range
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read(*args)
+
+    monkeypatch.setattr(dataio, "_plain_range", dying)
+    monkeypatch.chdir(classify_inputs)
+    assert cli.main(CLASSIFY) == 1
+    assert capsys.readouterr() == ("", "error: features.csv: a reader ended without its result\n")
+    assert len(forked) == 2 and not has_children()
+    assert not (classify_inputs / "predictions.csv").exists()
+
+
+def test_an_interrupted_split_read_leaves_no_reader(classify_inputs, monkeypatch):
+    forked = _split_reads(monkeypatch, 2)
+    parent, read = os.getpid(), dataio._plain_range
+
+    def interrupting(*args):
+        if os.getpid() != parent:
+            os.kill(parent, signal.SIGINT)
+            time.sleep(60)
+        return read(*args)
+
+    monkeypatch.setattr(dataio, "_plain_range", interrupting)
+    monkeypatch.chdir(classify_inputs)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(CLASSIFY)
+    assert len(forked) == 2 and not has_children()
+
+
+_SIGNALLED_CLASSIFY = """
+import os, sys, time
+from sigarchive import cli, dataio
+
+dataio._RANGE_BYTES = 1
+os.sched_getaffinity = lambda pid: {{0, 1}}
+parent, read = os.getpid(), dataio._plain_range
+
+def signalling(*args):
+    if os.getpid() != parent:  # a reader signals the command, and waits
+        os.kill(parent, {signum})
+        time.sleep(60)
+    return read(*args)
+
+dataio._plain_range = signalling
+sys.argv = ["sigarchive", *{argv!r}]
+cli.run()
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads /proc")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"])
+def test_signal_during_a_split_read_prints_interrupted(classify_inputs, signum):
+    code = _SIGNALLED_CLASSIFY.format(signum=int(signum), argv=CLASSIFY)
+    command = subprocess.Popen([sys.executable, "-c", code], cwd=classify_inputs,
+                               env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               text=True, start_new_session=True)
+    try:
+        out, err = command.communicate(timeout=60)
+    finally:
+        command.kill()
+    assert command.returncode == -signum, err
+    assert (out, err) == ("", "error: interrupted\n")
+    assert not (classify_inputs / "predictions.csv").exists()
+    assert processes(3, command.pid) == []
 
 
 def _read_table_row_by_row(path, header):
