@@ -467,8 +467,6 @@ def load_archive(path) -> SignatureArchive:
             unresolved=unresolved,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ArchiveFormatError):
-            raise
         raise ArchiveFormatError(f"malformed archive document: {exc}") from exc
     if not isinstance(archive.build_config, dict):
         raise ArchiveFormatError("archive build_config must be a mapping")

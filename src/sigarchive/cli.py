@@ -209,25 +209,6 @@ _NOVEL_VALUES = {"0": False, "false": False, "1": True, "true": True}
 _DECISIONS = {DECISION_CLASSIFIED, DECISION_REJECTED}
 
 
-def _name_bad_prediction(path, rows) -> None:
-    """Raise for the first of ``rows`` (prediction-table body rows) with a
-    bad decision, label or score, naming its row number in the file."""
-    for i, (_, decision, label, score_text, _) in enumerate(rows):
-        if decision not in _DECISIONS:
-            raise ValidationError(f"{path}: row {i + 2}: unknown decision {decision!r}")
-        if not label:
-            raise ValidationError(
-                f"{path}: row {i + 2}: empty label; rejected rows "
-                f"must still carry the attributed label")
-        try:
-            score = float(score_text)
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            raise ValidationError(
-                f"{path}: row {i + 2}: score is not a finite number: {score_text!r}")
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     curve_path = _second_path("--report", args.report, "--curve", args.curve, ".curve.csv")
     preds = docio.read_table(args.predictions, _PREDICTION_HEADER)
@@ -244,14 +225,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"got {list(truth.values())[i][2]!r}")
     novel_of = dict(zip(truth, novel))
 
-    _, decisions, predicted, score_texts, _ = zip(*preds.values())
-    try:
-        scores = list(map(float, score_texts))
-    except ValueError:
-        scores = [math.nan]  # the walk below names the unparsable score
-    if not (_DECISIONS.issuperset(decisions) and all(predicted)
-            and all(map(math.isfinite, scores))):
-        _name_bad_prediction(args.predictions, preds.values())
+    decisions, predicted, scores = [], [], []  # the first row at fault is named
+    for row, (_, decision, label, text, _) in enumerate(preds.values(), 2):
+        if decision not in _DECISIONS:
+            raise ValidationError(f"{args.predictions}: row {row}: unknown decision {decision!r}")
+        if not label:
+            raise ValidationError(
+                f"{args.predictions}: row {row}: empty label; rejected rows "
+                f"must still carry the attributed label")
+        try:
+            score = float(text)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ValidationError(
+                f"{args.predictions}: row {row}: score is not a finite number: {text!r}")
+        decisions.append(decision)
+        predicted.append(label)
+        scores.append(score)
 
     report = _stage("evaluate_predictions")(decisions, predicted, scores,
                                             [truth[sid][1] for sid in preds],

@@ -2,10 +2,12 @@
 
 The document format is plain JSON with two extra guarantees: mapping keys are
 emitted in insertion order, and every float is rendered with 17 significant
-digits so that a load/save cycle is bit-exact and byte-identical.  Lists of
-same-keyed mappings go through one template per list; ``Records`` holds such
-a list's values already rendered, so a table can share them.  Tables are
-UTF-8 CSV with newline-terminated rows.  This module imports no numpy.
+digits so that a load/save cycle is bit-exact and byte-identical.  A
+``Records`` holds a list of same-keyed mappings as values already rendered, so
+that a table can share them.  Only a ``Records`` built by the caller goes
+through one template per list; every other list of mappings is emitted item by
+item, in the same bytes.  Tables are UTF-8 CSV with newline-terminated rows.
+This module imports no numpy.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def _emit(value, indent: int) -> str:
     elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float, str, bool)) or v is None for v in value):
             return "[" + ", ".join(_scalar(v) for v in value) + "]"
-        keys = tuple(value[0]) if isinstance(value[0], dict) else ()
-        if keys and all(isinstance(v, dict) and tuple(v) == keys for v in value):
-            cells = [[_emit(c, indent + 2) for c in v.values()] for v in value]
-            return _emit(Records(keys, cells), indent)
         brackets, items = "[]", [_emit(item, indent + 1) for item in value]
     else:
         return _scalar(value)
@@ -143,27 +141,23 @@ def _rows(path):
 
 def read_table(path, header: tuple[str, ...]) -> dict[str, list[str]]:
     """Body rows of a CSV file whose first row must equal ``header``, keyed
-    by their first cell, which no two rows may share.  Every row must have
-    ``len(header)`` cells; the first row at fault is named (body row ``i``
-    is row ``i + 2`` of the file)."""
+    by their first cell, which no two rows may share.  The whole file is read
+    first, so an unreadable line anywhere is named before any row's fault;
+    then one loop over the body checks each row's width, then its id, and
+    names the first row at fault by its row number in the file."""
     with _csv_reader(path) as reader:
         rows = list(reader)
     first = rows[0] if rows else []
     if tuple(first) != header:
         raise ValidationError(
             f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}")
-    body, width = rows[1:], len(header)
-    table = {cells[0]: cells for cells in body} if set(map(len, body)) <= {width} else {}
-    if len(table) != len(body):  # some row is at fault: name the first
-        table = {}
-        for i, cells in enumerate(body):
-            if len(cells) != width:
-                raise ValidationError(
-                    f"{path}: row {i + 2} has {len(cells)} cells, expected {width}")
-            if cells[0] in table:
-                raise ValidationError(
-                    f"{path}: duplicate sample id {cells[0]!r} at row {i + 2}")
-            table[cells[0]] = cells
+    table, width = {}, len(header)
+    for lineno, cells in enumerate(rows[1:], start=2):
+        if len(cells) != width:
+            raise ValidationError(f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
+        if cells[0] in table:
+            raise ValidationError(f"{path}: duplicate sample id {cells[0]!r} at row {lineno}")
+        table[cells[0]] = cells
     return table
 
 

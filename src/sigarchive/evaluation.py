@@ -161,9 +161,6 @@ def classification_metrics(
             raise ValidationError(f"unknown decision {d!r}")
 
     covered = [i for i in range(m) if decisions[i] == DECISION_CLASSIFIED]
-    if not covered:
-        return ClassMetrics(0, None, None, None, ())
-
     truth_counts = Counter(truth[i] for i in covered if not novel[i])
     pred_counts = Counter(predicted[i] for i in covered)
     hits = Counter(truth[i] for i in covered if not novel[i] and predicted[i] == truth[i])

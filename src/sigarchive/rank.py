@@ -169,26 +169,24 @@ def silhouette_scores(clusters: Sequence[np.ndarray]) -> tuple[tuple[np.ndarray,
     if any(c.ndim != 2 or c.shape[0] == 0 for c in pts):
         raise ValidationError("every cluster must be a nonempty 2-d array")
 
-    labels = np.concatenate([np.full(len(c), i) for i, c in enumerate(pts)])
     stacked = np.vstack(pts)
     dist = np.clip(1.0 - stacked @ stacked.T, 0.0, 2.0)
+    ends = np.cumsum([len(c) for c in pts]).tolist()
+    blocks = list(zip([0, *ends], ends))  # cluster c's rows of ``dist``, contiguous
 
-    scores = np.zeros(len(stacked))
-    for idx in range(len(stacked)):
-        own = labels[idx]
-        same = labels == own
-        if same.sum() == 1:
+    per_cluster = []
+    for lo, hi in blocks:
+        size, rows = hi - lo, dist[lo:hi]
+        if size == 1:
+            per_cluster.append(np.zeros(1))
             continue
-        mask = same.copy()
-        mask[idx] = False
-        a = dist[idx, mask].mean()
-        b = min(dist[idx, labels == other].mean()
-                for other in range(len(pts)) if other != own)
-        denom = max(a, b)
-        scores[idx] = (b - a) / denom if denom > 0 else 0.0
-    np.clip(scores, -1.0, 1.0, out=scores)
-    per_cluster = tuple(scores[labels == i] for i in range(len(pts)))
-    return per_cluster, np.array([c.min() for c in per_cluster])
+        # means over slices; a column fancy index copies to a layout that sums in another order
+        a = rows[:, lo:hi][~np.eye(size, dtype=bool)].reshape(size, -1).mean(axis=1)
+        b = np.min([rows[:, s:e].mean(axis=1) for s, e in blocks if s != lo], axis=0)
+        denom = np.maximum(a, b)
+        scores = np.divide(b - a, denom, out=np.zeros(size), where=denom > 0)
+        per_cluster.append(np.clip(scores, -1.0, 1.0))
+    return tuple(per_cluster), np.array([c.min() for c in per_cluster])
 
 
 def ensemble_stability(clusters: Sequence[np.ndarray]) -> tuple[float, float]:

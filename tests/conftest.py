@@ -324,9 +324,37 @@ def risk_coverage_curve_numpy(scores, predicted, truth, novel):
                  for t, c, e in zip(thresholds, counts, errors))
 
 
+def silhouette_scores_loop(clusters):
+    """``rank.silhouette_scores`` one point at a time: the mean distance to
+    the point's own cluster (itself left out) and to each other cluster, as
+    1-d copies picked by label masks."""
+    pts = [np.asarray(c, dtype=np.float64) for c in clusters]
+    labels = np.concatenate([np.full(len(c), i) for i, c in enumerate(pts)])
+    stacked = np.vstack(pts)
+    dist = np.clip(1.0 - stacked @ stacked.T, 0.0, 2.0)
+
+    scores = np.zeros(len(stacked))
+    for idx in range(len(stacked)):
+        own = labels[idx]
+        same = labels == own
+        if same.sum() == 1:
+            continue
+        mask = same.copy()
+        mask[idx] = False
+        a = dist[idx, mask].mean()
+        b = min(dist[idx, labels == other].mean()
+                for other in range(len(pts)) if other != own)
+        denom = max(a, b)
+        scores[idx] = (b - a) / denom if denom > 0 else 0.0
+    np.clip(scores, -1.0, 1.0, out=scores)
+    per_cluster = tuple(scores[labels == i] for i in range(len(pts)))
+    return per_cluster, np.array([c.min() for c in per_cluster])
+
+
 def dumps_document_recursive(value) -> str:
-    """``docio.dumps_document`` as it was before record lists had their own
-    path: one recursion for mappings and lists, ``json.dumps`` per key."""
+    """``docio.dumps_document`` with no ``Records`` path: one recursion for
+    mappings and lists, ``json.dumps`` per key.  Only a ``Records`` built by
+    the caller takes the template, and it must write these bytes too."""
     def emit(value, indent):
         if isinstance(value, dict):
             brackets = "{}"

@@ -502,10 +502,18 @@ class TestEvaluate:
          "p.csv: row 4: empty label"),
         (((",classified,y", ",maybe,y"),), "a,x,0\nb,y,yes\nc,z,2\n",
          "t.csv: row 3: novel must be 0/1/true/false, got 'yes'"),
+        # two faults in one row: the decision, then the label, then the score
+        (((",classified,y,0.98", ",maybe,y,inf"),), "a,x,0\nb,y,0\nc,z,1\n",
+         "p.csv: row 3: unknown decision 'maybe'"),
+        (((",classified,y,0.98", ",maybe,,0.98"),), "a,x,0\nb,y,0\nc,z,1\n",
+         "p.csv: row 3: unknown decision 'maybe'"),
+        (((",rejected,x,0.3", ",rejected,,x"),), "a,x,0\nb,y,0\nc,z,1\n",
+         "p.csv: row 4: empty label"),
     ])
     def test_first_faulty_row_is_named(self, tmp_path, edits, truth, message):
-        # the columns are checked as wholes; the message still names the
-        # first faulty row, and its first faulty cell, truth before predictions
+        # one pass checks each row's decision, label and score in that order;
+        # the message names the first faulty row, and its first faulty cell,
+        # truth before predictions
         self.write_pair(tmp_path, "sample_id,label,novel\n" + truth)
         preds = tmp_path / "p.csv"
         text = preds.read_text()

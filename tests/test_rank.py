@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import fm
+from conftest import fm, silhouette_scores_loop
 from sigarchive import (
     DegenerateInputError,
     EnsembleConfig,
@@ -214,6 +214,26 @@ class TestSilhouetteScores:
     def test_single_cluster_rejected(self):
         with pytest.raises(ValidationError):
             silhouette_scores([np.ones((3, 2))])
+
+    def test_block_means_match_the_point_loop_bit_for_bit(self):
+        # matched ensembles (k clusters of one unit vector per member), ragged
+        # ones with singleton clusters, repeated points, and all points equal
+        rng = np.random.default_rng(29)
+        for trial in range(400):
+            k, members, n = int(rng.integers(2, 8)), int(rng.integers(1, 31)), 6
+            sizes = rng.integers(1, members + 1, size=k) if trial % 2 else np.full(k, members)
+            clusters = []
+            for size in sizes:
+                pts = rng.random((size, n)) ** 3
+                pts[rng.random(size) < 0.3] = pts[0]  # repeated points
+                clusters.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+            if trial % 5 == 0:  # one point everywhere: cohesion and separation are 0
+                clusters = [np.tile(np.eye(n)[0], (size, 1)) for size in sizes]
+            with np.errstate(all="raise"):
+                got, got_min = silhouette_scores(clusters)
+            want, want_min = silhouette_scores_loop(clusters)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert got_min.tobytes() == want_min.tobytes()
 
 
 class TestSelectRank:
